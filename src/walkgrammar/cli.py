@@ -9,7 +9,9 @@ and JSON alike, so that rounding noise from the coin entries (1/sqrt(2) is
 not a double) is not printed as data: the Hadamard walk at two steps prints
 0.25, 0.5, 0.25.  Error that accumulates over many steps can still reach the
 15th digit (0.0800781249999999 at ten steps); values are not promised to be
-exact dyadic fractions.
+exact dyadic fractions.  `walk run --symbolic` takes its probabilities from
+the same numeric stepper, so they equal those of `walk run` digit for digit;
+only the word column comes from the symbolic walk.
 """
 
 from __future__ import annotations
@@ -84,9 +86,7 @@ def _walk_rows(args) -> tuple[int, list[dict]]:
     psi = _parse_psi(args.psi)
     if args.symbolic:
         sym = walk.run_symbolic(args.steps, symbolic_max=args.symbolic_max)
-        dist = walk.distribution(walk.evaluate(sym, coin), psi)
-    else:
-        dist = walk.distribution(walk.run_numeric(coin, args.steps), psi)
+    dist = walk.distribution(walk.run_numeric(coin, args.steps), psi)
     rows = []
     for k in sorted(dist):
         row = {"k": k, "probability": _probability(dist[k])}

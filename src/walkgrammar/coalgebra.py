@@ -19,6 +19,8 @@ from fractions import Fraction
 from types import MappingProxyType
 from typing import Iterable, Mapping, Union
 
+from .graphs import de_bruijn_labels
+
 Scalar = Union[int, Fraction]
 Word = tuple[str, ...]
 
@@ -173,15 +175,24 @@ class CoproductTable:
         return {"alphabet": list(self.alphabet), "rules": rules}
 
     @classmethod
-    def from_json(cls, obj: Mapping) -> "CoproductTable":
-        alphabet = tuple(obj["alphabet"])
-        rules = {
-            symbol: FormalSum(
+    def from_json(cls, obj) -> "CoproductTable":
+        """Inverse of `to_json`; ValueError on any other JSON shape."""
+        entries_of = obj.get("rules") if isinstance(obj, dict) else None
+        if not (isinstance(entries_of, dict) and _strings(obj.get("alphabet"))):
+            raise ValueError(
+                'coproduct JSON must be {"alphabet": [symbols], "rules": {symbol: [[x, y, coeff]]}}'
+            )
+        rules = {}
+        for symbol, entries in entries_of.items():
+            if not (
+                isinstance(entries, list)
+                and all(isinstance(e, list) and len(e) == 3 and _strings(e[:2]) for e in entries)
+            ):
+                raise ValueError(f"rule of {symbol!r} is not a list of [x, y, coeff] triples")
+            rules[symbol] = FormalSum(
                 [((w1, w2), _scalar_from_json(coeff)) for w1, w2, coeff in entries]
             )
-            for symbol, entries in obj["rules"].items()
-        }
-        return cls(alphabet, rules)
+        return cls(tuple(obj["alphabet"]), rules)
 
 
 @dataclass(frozen=True, eq=True)
@@ -197,8 +208,15 @@ class CounitTable:
         return {"values": {s: _scalar_to_json(c) for s, c in sorted(self.values.items())}}
 
     @classmethod
-    def from_json(cls, obj: Mapping) -> "CounitTable":
+    def from_json(cls, obj) -> "CounitTable":
+        """Inverse of `to_json`; ValueError on any other JSON shape."""
+        if not isinstance(obj, dict) or not isinstance(obj.get("values"), dict):
+            raise ValueError('counit JSON must be {"values": {symbol: scalar, ..}}')
         return cls({s: _scalar_from_json(c) for s, c in obj["values"].items()})
+
+
+def _strings(xs) -> bool:
+    return isinstance(xs, list) and all(isinstance(x, str) for x in xs)
 
 
 def _scalar_to_json(c: Scalar):
@@ -209,7 +227,10 @@ def _scalar_to_json(c: Scalar):
 
 def _scalar_from_json(c) -> Scalar:
     if isinstance(c, str):
-        return Fraction(c)
+        try:
+            return Fraction(c)
+        except ZeroDivisionError:
+            raise ValueError(f"scalar {c!r} has a zero denominator") from None
     if isinstance(c, int):
         return c
     raise ValueError(f"scalar must be an int or a 'p/q' string, got {c!r}")
@@ -414,48 +435,6 @@ def markov_pair(
     return delta, delta_tilde
 
 
-FOUR_LETTERS = ("a", "b", "c", "d")
-
-# Arrows of the extension graph on {a, b, c, d}.
-_FOUR_LETTER_ARROWS = (
-    ("a", "a"), ("a", "b"),
-    ("b", "c"), ("b", "d"),
-    ("c", "a"), ("c", "b"),
-    ("d", "c"), ("d", "d"),
-)
-
-
-def coproduct_e() -> CoproductTable:
-    """The coassociative coproduct on a, b, c, d (the Sl_q(2) rule table)."""
-    lift = FormalSum.lift
-    return CoproductTable(
-        FOUR_LETTERS,
-        {
-            "a": lift("a", "a") + lift("b", "c"),
-            "b": lift("a", "b") + lift("b", "d"),
-            "c": lift("d", "c") + lift("c", "a"),
-            "d": lift("d", "d") + lift("c", "b"),
-        },
-    )
-
-
-def counit_e() -> CounitTable:
-    return CounitTable({"a": 1, "b": 0, "c": 0, "d": 1})
-
-
-def markov_pair_e() -> tuple[CoproductTable, CoproductTable]:
-    """The Markov coproduct pair of the four-letter extension graph."""
-    return markov_pair(FOUR_LETTERS, _FOUR_LETTER_ARROWS)
-
-
-def de_bruijn_labels(p: int) -> tuple[str, ...]:
-    if p < 2:
-        raise ValueError(f"need p >= 2, got {p}")
-    if p == 2:
-        return ("P", "Q")
-    return tuple(str(i) for i in range(1, p + 1))
-
-
 def de_bruijn_markov_pair(p: int) -> tuple[CoproductTable, CoproductTable]:
     """Markov coproducts of the complete loop-at-each-vertex graph on p labels."""
     labels = de_bruijn_labels(p)
@@ -482,6 +461,36 @@ def extension_coproduct(p: int) -> CoproductTable:
 def extension_counit(p: int) -> CounitTable:
     labels = de_bruijn_labels(p)
     return CounitTable({f"{i}|{j}": int(i == j) for i in labels for j in labels})
+
+
+# The four letters name the vertices of the extension of the two-label De
+# Bruijn graph, i.e. its edges: a = P|P, b = P|Q, c = Q|P, d = Q|Q.
+LETTER_OF = {"P|P": "a", "P|Q": "b", "Q|P": "c", "Q|Q": "d"}
+FOUR_LETTERS = tuple(LETTER_OF.values())
+
+
+def coproduct_e() -> CoproductTable:
+    """The coassociative coproduct on a, b, c, d (the Sl_q(2) rule table).
+
+    It is `extension_coproduct(2)` with its symbols renamed by LETTER_OF.
+    """
+    return CoproductTable(
+        FOUR_LETTERS,
+        {
+            LETTER_OF[s]: FormalSum([(tuple(LETTER_OF[x] for x in w), c) for w, c in image])
+            for s, image in extension_coproduct(2).rules.items()
+        },
+    )
+
+
+def counit_e() -> CounitTable:
+    return CounitTable({LETTER_OF[s]: c for s, c in extension_counit(2).values.items()})
+
+
+def markov_pair_e() -> tuple[CoproductTable, CoproductTable]:
+    """Markov pair of the four-letter graph, whose arrows are the summands of `coproduct_e`."""
+    arrows = [word for image in coproduct_e().rules.values() for word in image.words()]
+    return markov_pair(FOUR_LETTERS, arrows)
 
 
 def triangle_coproducts() -> tuple[CoproductTable, CoproductTable]:

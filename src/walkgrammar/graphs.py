@@ -27,9 +27,6 @@ class DirectedGraph:
     def build(cls, vertices: Iterable[str], edges: Iterable[tuple[str, str]]) -> "DirectedGraph":
         return cls(frozenset(vertices), frozenset(tuple(e) for e in edges))
 
-    def out_neighbors(self, v: str) -> frozenset[str]:
-        return frozenset(w for (u, w) in self.edges if u == v)
-
     def to_dot(self, name: str = "G") -> str:
         lines = [f"digraph {name} {{"]
         for v in sorted(self.vertices):
@@ -185,7 +182,8 @@ def x_decomposition(b: StochMatrix) -> list[KrausEntry]:
         entries.append(KrausEntry(matrix, h))
     for i in range(m):
         for j in range(m):
-            assert sum(e.matrix[i][j] for e in entries) == b.rows[i][j]
+            if sum(e.matrix[i][j] for e in entries) != b.rows[i][j]:
+                raise AssertionError(f"row matrices do not sum to B at ({i}, {j})")
     return entries
 
 

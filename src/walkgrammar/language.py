@@ -1,10 +1,11 @@
 """The four-letter path language of the walk.
 
-Letters carry index pairs a = (-1,-1), b = (-1,+1), c = (+1,-1),
-d = (+1,+1); a word is a path of the extension graph, meaning consecutive
-letters agree on their shared index.  Contraction collapses the overlap
-into a P/Q word one symbol longer than the letter word, with -1 read as P
-and +1 as Q.
+Letters are the extension-graph vertices of `coalgebra.LETTER_OF`, read
+as index pairs with P = -1 and Q = +1: a = (-1,-1), b = (-1,+1),
+c = (+1,-1), d = (+1,+1).  A word is a path of the extension graph,
+meaning consecutive letters agree on their shared index.  Contraction
+collapses the overlap into a P/Q word one symbol longer than the letter
+word, with -1 read as P and +1 as Q.
 
 Times 0 and 1 have no letter words (their walk cells are the empty word,
 P and Q); the language starts at t = 2, where the time-t words are the
@@ -18,32 +19,32 @@ from dataclasses import dataclass
 from . import coalgebra
 from .coalgebra import CoproductTable, FormalSum
 
-LETTERS = "abcd"
-INDEX_PAIRS = {"a": (-1, -1), "b": (-1, 1), "c": (1, -1), "d": (1, 1)}
+LETTERS = "".join(coalgebra.FOUR_LETTERS)
+INDEX = {"P": -1, "Q": 1}
+SYMBOL = {i: x for x, i in INDEX.items()}
+INDEX_PAIRS = {
+    letter: tuple(INDEX[x] for x in edge.split("|")) for edge, letter in coalgebra.LETTER_OF.items()
+}
 PAIR_TO_LETTER = {pair: letter for letter, pair in INDEX_PAIRS.items()}
 
-# Out-neighbours in the extension graph: x -> y iff x's second index is
-# y's first.
-SUCCESSORS = {"a": "ab", "b": "cd", "c": "ab", "d": "cd"}
-PREDECESSORS = {"a": "ac", "b": "ac", "c": "bd", "d": "bd"}
 
-# Last-letter rewrite rules of the two grammars.  Applying the Markov rule
-# appends one letter along an edge; the coassociative rule replaces the
-# last letter by one of its two coproduct terms.
-MARKOV_RULES = {x: tuple(x + y for y in SUCCESSORS[x]) for x in LETTERS}
-COASSOC_RULES = {
-    "a": ("aa", "bc"),
-    "b": ("ab", "bd"),
-    "c": ("dc", "ca"),
-    "d": ("dd", "cb"),
-}
+def _images(table: CoproductTable) -> dict[str, tuple[str, ...]]:
+    return {x: tuple(sorted("".join(w) for w in table.apply(x).words())) for x in table.alphabet}
+
+
+# Last-letter rewrite rules of the two grammars, read off the coproduct
+# tables.  Applying the Markov rule appends one letter along an edge of the
+# extension graph; the coassociative rule replaces the last letter by one
+# of its two coproduct terms.
+_MARKOV, _MARKOV_IN = coalgebra.markov_pair_e()
+MARKOV_RULES = _images(_MARKOV)
+COASSOC_RULES = _images(coalgebra.coproduct_e())
 GRAMMARS = {"markov": MARKOV_RULES, "coassoc": COASSOC_RULES}
 
-
-def is_path_word(w: str) -> bool:
-    if not w or set(w) - set(LETTERS):
-        return False
-    return all(y in SUCCESSORS[x] for x, y in zip(w, w[1:]))
+# Out- and in-neighbours in the extension graph: x -> y iff x's second
+# index is y's first.
+SUCCESSORS = {x: "".join(w[1] for w in images) for x, images in MARKOV_RULES.items()}
+PREDECESSORS = {y: "".join(w[0] for w in images) for y, images in _images(_MARKOV_IN).items()}
 
 
 def require_path_word(w: str) -> str:
@@ -58,17 +59,10 @@ def require_path_word(w: str) -> str:
     return w
 
 
-def _symbol(i: int) -> str:
-    return "P" if i == -1 else "Q"
-
-
 def contract(w: str) -> str:
     """Collapse overlapping index pairs into the underlying P/Q word."""
     require_path_word(w)
-    first, second = INDEX_PAIRS[w[0]]
-    out = [_symbol(first), _symbol(second)]
-    out.extend(_symbol(INDEX_PAIRS[x][1]) for x in w[1:])
-    return "".join(out)
+    return SYMBOL[INDEX_PAIRS[w[0]][0]] + "".join(SYMBOL[INDEX_PAIRS[x][1]] for x in w)
 
 
 def uncontract(m: str) -> str:
@@ -77,8 +71,7 @@ def uncontract(m: str) -> str:
         raise ValueError("words of length < 2 have no letter preimage")
     if set(m) - {"P", "Q"}:
         raise ValueError(f"expected a P/Q word, got {m!r}")
-    index = {"P": -1, "Q": 1}
-    return "".join(PAIR_TO_LETTER[(index[x], index[y])] for x, y in zip(m, m[1:]))
+    return "".join(PAIR_TO_LETTER[(INDEX[x], INDEX[y])] for x, y in zip(m, m[1:]))
 
 
 def word_index(w: str) -> int:
@@ -112,9 +105,7 @@ def _rules(grammar: str) -> dict[str, tuple[str, str]]:
 def grammar_table(grammar: str) -> CoproductTable:
     """The coproduct table whose rightmost iteration drives the grammar."""
     _rules(grammar)
-    if grammar == "markov":
-        return coalgebra.markov_pair_e()[0]
-    return coalgebra.coproduct_e()
+    return coalgebra.markov_pair_e()[0] if grammar == "markov" else coalgebra.coproduct_e()
 
 
 def generate_sum(t: int, grammar: str = "markov") -> FormalSum:

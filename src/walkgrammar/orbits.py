@@ -11,11 +11,11 @@ position, producing all patterns one letter longer.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .language import (
+    COASSOC_RULES,
     INDEX_PAIRS,
     LETTERS,
     PAIR_TO_LETTER,
@@ -88,17 +88,12 @@ def complete(w: str) -> Pattern:
     return canonicalize(w + closing)
 
 
-def _coproduct_splits(letter: str) -> tuple[str, str]:
-    i, j = INDEX_PAIRS[letter]
-    return tuple(PAIR_TO_LETTER[(i, k)] + PAIR_TO_LETTER[(k, j)] for k in (-1, 1))
-
-
 def grow(p: Pattern) -> frozenset[Pattern]:
     """Apply the coassociative coproduct at every position, deduplicated."""
     s = p.letters
     out = set()
     for i in range(len(s)):
-        for split in _coproduct_splits(s[i]):
+        for split in COASSOC_RULES[s[i]]:
             out.add(canonicalize(s[:i] + split + s[i + 1 :]))
     return frozenset(out)
 
@@ -178,9 +173,6 @@ class Decomposition:
     def fundamentals(self) -> tuple[Pattern, ...]:
         """Canonical pieces in emission order, base last."""
         return tuple(canonicalize(c) for c, _ in self.peeled) + (canonicalize(self.base),)
-
-    def piece_counts(self) -> Counter[Pattern]:
-        return Counter(self.fundamentals())
 
     def reglue(self) -> Pattern:
         walk = list(self.base)

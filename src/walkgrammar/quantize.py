@@ -26,7 +26,7 @@ def assert_unitary(u: np.ndarray, tol: float = MATRIX_TOL) -> np.ndarray:
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {u.shape}")
     defect = np.max(np.abs(u @ u.conj().T - np.eye(u.shape[0])))
-    if defect > tol:
+    if not defect <= tol:
         raise ValueError(f"matrix is not unitary (defect {defect:.3e})")
     return u
 
@@ -37,6 +37,8 @@ def hadamard() -> np.ndarray:
 
 def coin_from_angles(theta: float, phi1: float = 0.0, phi2: float = 0.0) -> np.ndarray:
     """Three-angle family of 2x2 coins; theta = pi/4, phi = 0 is Hadamard."""
+    if not np.all(np.isfinite([theta, phi1, phi2])):
+        raise ValueError(f"coin angles must be finite, got {theta}, {phi1}, {phi2}")
     c, s = np.cos(theta), np.sin(theta)
     return np.array(
         [
@@ -197,11 +199,16 @@ def jones_generators(
 
 
 def coin_from_json(obj) -> np.ndarray:
-    """Parse {re: [[..]], im: [[..]]} into a complex matrix."""
+    """Parse {re: [[..]], im: [[..]]} into a complex matrix; ValueError on other shapes."""
     if isinstance(obj, str):
         obj = json.loads(obj)
-    re = np.asarray(obj["re"], dtype=float)
-    im = np.asarray(obj["im"], dtype=float)
+    if not isinstance(obj, dict) or not {"re", "im"} <= obj.keys():
+        raise ValueError("coin JSON must be an object {re: [[..]], im: [[..]]}")
+    try:
+        re = np.asarray(obj["re"], dtype=float)
+        im = np.asarray(obj["im"], dtype=float)
+    except (TypeError, ValueError):
+        raise ValueError("coin JSON blocks re and im must be matrices of numbers") from None
     if re.shape != im.shape:
         raise ValueError("re and im blocks must have the same shape")
     return re + 1j * im

@@ -179,12 +179,12 @@ def unitarity_defect(s: NumericState) -> float:
 def distribution(s: NumericState, psi: Sequence[complex]) -> dict[int, float]:
     """Probability per vertex for initial spinor psi: ||cell(k) psi||^2."""
     psi = np.asarray(psi, dtype=complex).reshape(2)
-    if abs(np.linalg.norm(psi) - 1.0) > PROB_TOL:
+    if not abs(np.linalg.norm(psi) - 1.0) <= PROB_TOL:
         raise ValueError("initial spinor must have unit norm")
     vectors = s.amps @ psi
     probs = np.sum(np.abs(vectors) ** 2, axis=1)
     total = float(np.sum(probs))
-    if abs(total - 1.0) > PROB_TOL:
+    if not abs(total - 1.0) <= PROB_TOL:
         raise ValueError(f"probabilities sum to {total!r}, expected 1")
     return {2 * i - s.time: float(p) for i, p in enumerate(probs)}
 
@@ -201,7 +201,7 @@ def mixed_distribution(
     """
     components = list(components)
     weights = [float(p) for p, _ in components]
-    if abs(sum(weights) - 1.0) > PROB_TOL:
+    if not abs(sum(weights) - 1.0) <= PROB_TOL:
         raise ValueError("mixture weights must sum to 1")
     state = run_numeric(coin, steps)
     out: dict[int, float] = {k: 0.0 for k in state.vertices()}

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import walkgrammar
 from walkgrammar.cli import main
 
 from helpers import spinor_walk_distribution
@@ -221,3 +226,88 @@ def test_domain_error_exits_one(capsys):
     assert err.startswith("error:")
     code, _, err = run_cli(capsys, "walk", "run", "--steps", "2", "--psi", "1,0")
     assert code == 1
+
+
+SYMBOLIC_CUSTOM = (
+    "walk", "run", "--symbolic", "--steps", "12",
+    "--coin", "custom", "--theta", "0.7", "--phi1", "0.3", "--phi2", "-1.1",
+)
+
+
+def test_walk_run_symbolic_is_independent_of_hash_seed():
+    src = str(Path(walkgrammar.__file__).resolve().parents[1])
+    outputs = []
+    for seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        done = subprocess.run(
+            [sys.executable, "-m", "walkgrammar.cli", *SYMBOLIC_CUSTOM],
+            env=env, capture_output=True, text=True, check=True,
+        )
+        outputs.append(done.stdout)
+    assert outputs[0] == outputs[1]
+
+
+def test_walk_run_symbolic_probabilities_equal_walk_run(capsys):
+    _, symbolic, _ = run_cli(capsys, *SYMBOLIC_CUSTOM)
+    _, plain, _ = run_cli(capsys, *(a for a in SYMBOLIC_CUSTOM if a != "--symbolic"))
+    rows = [line.split(",")[:2] for line in symbolic.splitlines()[1:]]
+    assert rows == [line.split(",") for line in plain.splitlines()[1:]]
+    assert len(rows) == 13
+
+
+def assert_one_line_error(code, out, err):
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "extra",
+    [
+        ("--coin", "custom", "--theta", "nan"),
+        ("--coin", "custom", "--theta", "0.7", "--phi2", "inf"),
+        ("--psi", "nan,0,0,0"),
+        ("--psi", "1,0,nan,0"),
+    ],
+)
+def test_walk_run_rejects_nan(capsys, extra):
+    assert_one_line_error(*run_cli(capsys, "walk", "run", "--steps", "3", *extra))
+
+
+def test_coin_file_with_nan_entry_is_rejected(capsys, tmp_path):
+    coin_file = tmp_path / "coin.json"
+    coin_file.write_text('{"re": [[NaN, 0], [0, 1]], "im": [[0, 0], [0, 0]]}')
+    assert_one_line_error(
+        *run_cli(capsys, "walk", "run", "--steps", "3", "--coin-file", str(coin_file))
+    )
+
+
+def test_coin_file_of_wrong_shape_is_rejected(capsys, tmp_path):
+    coin_file = tmp_path / "coin.json"
+    coin_file.write_text("[1, 2]")
+    assert_one_line_error(
+        *run_cli(capsys, "walk", "run", "--steps", "2", "--coin-file", str(coin_file))
+    )
+
+
+@pytest.mark.parametrize(
+    "option, blob",
+    [
+        ("--delta", {"alphabet": 5}),
+        ("--delta", [1, 2]),
+        ("--delta", {"alphabet": ["a"], "rules": {"a": [["a", "a"]]}}),
+        ("--counit", [1]),
+        ("--counit", {"values": 3}),
+    ],
+)
+def test_verify_axiom_rejects_malformed_json(capsys, tmp_path, option, blob):
+    from walkgrammar import coalgebra
+
+    delta_file = tmp_path / "delta.json"
+    delta_file.write_text(json.dumps(coalgebra.coproduct_e().to_json()))
+    bad_file = tmp_path / "bad.json"
+    bad_file.write_text(json.dumps(blob))
+    # A repeated option takes its last value, so `option` reads the bad file.
+    argv = ["verify", "axiom", "--axiom", "right-counit", "--delta", str(delta_file)]
+    assert_one_line_error(*run_cli(capsys, *argv, option, str(bad_file)))

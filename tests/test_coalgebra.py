@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from walkgrammar import coalgebra
+from walkgrammar import coalgebra, language
 from walkgrammar.coalgebra import (
     CoproductTable,
     CounitTable,
@@ -204,3 +204,50 @@ def test_json_round_trip():
 def test_json_rejects_float_scalars():
     with pytest.raises(ValueError):
         CounitTable.from_json({"values": {"a": 0.5}})
+
+
+# The paper's four-letter tables, written out by hand.  The package derives
+# them from the extension coproduct; these literals pin the result.
+PAPER_COPRODUCT = {"a": ("aa", "bc"), "b": ("ab", "bd"), "c": ("dc", "ca"), "d": ("dd", "cb")}
+PAPER_COUNIT = {"a": 1, "b": 0, "c": 0, "d": 1}
+PAPER_ARROWS = ("aa", "ab", "bc", "bd", "ca", "cb", "dc", "dd")
+
+
+def test_four_letter_tables_match_the_paper():
+    rules = {x: sum_of(*images) for x, images in PAPER_COPRODUCT.items()}
+    assert coalgebra.coproduct_e() == CoproductTable(("a", "b", "c", "d"), rules)
+    assert coalgebra.counit_e() == CounitTable(PAPER_COUNIT)
+    assert coalgebra.markov_pair_e() == markov_pair("abcd", [tuple(w) for w in PAPER_ARROWS])
+    dm, dt = coalgebra.markov_pair_e()
+    assert dm.rules["c"] == sum_of("ca", "cb")
+    assert dt.rules["c"] == sum_of("bc", "dc")
+    assert language.INDEX_PAIRS == {"a": (-1, -1), "b": (-1, 1), "c": (1, -1), "d": (1, 1)}
+    assert language.SUCCESSORS == {"a": "ab", "b": "cd", "c": "ab", "d": "cd"}
+    assert language.PREDECESSORS == {"a": "ac", "b": "ac", "c": "bd", "d": "bd"}
+    assert {x: sorted(r) for x, r in language.COASSOC_RULES.items()} == {
+        x: sorted(images) for x, images in PAPER_COPRODUCT.items()
+    }
+
+
+@pytest.mark.parametrize(
+    "blob",
+    [
+        {"alphabet": 5},
+        [1, 2],
+        {"alphabet": ["a"], "rules": []},
+        {"alphabet": [["a"]], "rules": {}},
+        {"alphabet": ["a"], "rules": {"a": 3}},
+        {"alphabet": ["a"], "rules": {"a": [["a", "a"]]}},
+        {"alphabet": ["a"], "rules": {"a": [[["a"], "a", 1]]}},
+        {"alphabet": ["a"], "rules": {"a": [["a", "a", "1/0"]]}},
+    ],
+)
+def test_coproduct_json_rejects_wrong_shapes(blob):
+    with pytest.raises(ValueError):
+        CoproductTable.from_json(blob)
+
+
+@pytest.mark.parametrize("blob", [[1], {"values": 3}, {"values": {"a": [1]}}, {"a": 1}])
+def test_counit_json_rejects_wrong_shapes(blob):
+    with pytest.raises(ValueError):
+        CounitTable.from_json(blob)

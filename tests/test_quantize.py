@@ -139,3 +139,24 @@ def test_coin_from_json():
     assert np.array_equal(u, np.eye(2))
     with pytest.raises(ValueError):
         coin_from_json({"re": [[1, 0]], "im": [[0, 0], [0, 0]]})
+
+
+@pytest.mark.parametrize(
+    "blob",
+    [
+        [1, 2],
+        {"re": [[1, 0], [0, 1]]},
+        {"re": [[1, 0], [0, 1]], "im": {"a": 1}},
+        {"re": [[1, 0], [0, 1]], "im": [[0, 0], [0]]},
+    ],
+)
+def test_coin_from_json_rejects_wrong_shapes(blob):
+    with pytest.raises(ValueError):
+        coin_from_json(blob)
+
+
+def test_nan_is_not_unitary():
+    with pytest.raises(ValueError, match="not unitary"):
+        quantize.assert_unitary(np.array([[np.nan, 0], [0, 1]]))
+    with pytest.raises(ValueError, match="finite"):
+        coin_from_angles(np.nan)

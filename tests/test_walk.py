@@ -249,3 +249,12 @@ def test_mixed_distribution_averages_components():
         assert mixed[k] == pytest.approx(0.5 * d0[k] + 0.5 * d1[k], abs=1e-12)
     with pytest.raises(ValueError, match="sum to 1"):
         walk.mixed_distribution([(0.7, e0)], coin, 2)
+
+
+def test_distribution_rejects_nan():
+    state = run_numeric(hadamard_coin(), 2)
+    with pytest.raises(ValueError, match="unit norm"):
+        distribution(state, [np.nan, 0])
+    broken = walk.NumericState(1, np.full((2, 2, 2), np.nan))
+    with pytest.raises(ValueError, match="sum to"):
+        distribution(broken, [1, 0])
