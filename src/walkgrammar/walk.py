@@ -14,13 +14,15 @@ States store occupied vertices contiguously: index i holds vertex 2i - n.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
+from .coalgebra import FormalSum
 from .quantize import CoinPair
 
 PROB_TOL = 1e-10
@@ -77,8 +79,7 @@ def step_symbolic(s: SymbolicState) -> SymbolicState:
     for j in range(n + 2):
         from_right = {w + "P" for w in s.cells[j]} if j <= n else set()
         from_left = {w + "Q" for w in s.cells[j - 1]} if j >= 1 else set()
-        if __debug__ and from_right & from_left:
-            raise AssertionError("duplicate words produced by one step")
+        # Disjoint: from_right ends in P, from_left in Q; validate() rechecks cell sizes.
         cells.append(frozenset(from_right | from_left))
     return SymbolicState(n + 1, tuple(cells))
 
@@ -257,50 +258,18 @@ def shift_conjugacy_check(bits: Sequence[int]) -> ConjugacyReport:
 # Dispersion operators and their commutator
 # ---------------------------------------------------------------------------
 
-SignedSum = dict[tuple[int, str], int]
+def dispersion_down(x: FormalSum) -> FormalSum:
+    """Move every basis term e_k (x) W, the word (k, W), one vertex down, appending P."""
+    return FormalSum(((k - 1, w + "P"), c) for (k, w), c in x)
 
 
-def dispersion_down(x: SignedSum) -> SignedSum:
-    """Move every basis term one vertex down, appending P."""
-    return {(k - 1, w + "P"): c for (k, w), c in x.items()}
-
-
-def dispersion_up(x: SignedSum) -> SignedSum:
-    """Move every basis term one vertex up, appending Q."""
-    return {(k + 1, w + "Q"): c for (k, w), c in x.items()}
-
-
-def _signed_diff(a: SignedSum, b: SignedSum) -> SignedSum:
-    out = dict(a)
-    for key, c in b.items():
-        total = out.get(key, 0) - c
-        if total:
-            out[key] = total
-        else:
-            out.pop(key, None)
-    return out
-
-
-def _right_concat(x: SignedSum, tail: Iterable[tuple[str, int]]) -> SignedSum:
-    out: SignedSum = {}
-    for (k, w), c in x.items():
-        for suffix, sign in tail:
-            key = (k, w + suffix)
-            total = out.get(key, 0) + c * sign
-            if total:
-                out[key] = total
-            else:
-                out.pop(key, None)
-    return out
+def dispersion_up(x: FormalSum) -> FormalSum:
+    """Move every basis term e_k (x) W, the word (k, W), one vertex up, appending Q."""
+    return FormalSum(((k + 1, w + "Q"), c) for (k, w), c in x)
 
 
 def _default_commutator_words(max_len: int = 5) -> list[str]:
-    words = [""]
-    frontier = [""]
-    for _ in range(max_len):
-        frontier = [w + l for w in frontier for l in "PQ"]
-        words.extend(frontier)
-    return words
+    return ["".join(p) for n in range(max_len + 1) for p in itertools.product("PQ", repeat=n)]
 
 
 @dataclass(frozen=True)
@@ -329,16 +298,14 @@ def commutator_check(
     if words is None:
         words = _default_commutator_words()
     words = list(words)
-    tail = (("QP", 1), ("PQ", -1))
     symbolic_ok = True
     max_dev = 0.0
     commutator = coin.Q @ coin.P - coin.P @ coin.Q
     for i, w in enumerate(words):
         k = (i % 7) - 3
-        x: SignedSum = {(k, w): 1}
-        lhs = _signed_diff(dispersion_down(dispersion_up(x)), dispersion_up(dispersion_down(x)))
-        rhs = _right_concat(x, tail)
-        if lhs != rhs:
+        x = FormalSum.lift(k, w)
+        lhs = dispersion_down(dispersion_up(x)) - dispersion_up(dispersion_down(x))
+        if lhs != FormalSum([((k, w + "QP"), 1), ((k, w + "PQ"), -1)]):
             symbolic_ok = False
         m = word_matrix(w, coin)
         numeric_lhs = (m @ coin.Q) @ coin.P - (m @ coin.P) @ coin.Q

@@ -311,3 +311,17 @@ def test_verify_axiom_rejects_malformed_json(capsys, tmp_path, option, blob):
     # A repeated option takes its last value, so `option` reads the bad file.
     argv = ["verify", "axiom", "--axiom", "right-counit", "--delta", str(delta_file)]
     assert_one_line_error(*run_cli(capsys, *argv, option, str(bad_file)))
+
+
+def test_verify_axiom_names_the_symbol_a_counit_misses(capsys, tmp_path):
+    from walkgrammar import coalgebra
+
+    delta_file = tmp_path / "delta.json"
+    delta_file.write_text(json.dumps(coalgebra.coproduct_e().to_json()))
+    counit_file = tmp_path / "counit.json"
+    counit_file.write_text(json.dumps({"values": {"a": 1}}))
+    argv = ["verify", "axiom", "--delta", str(delta_file)]
+    for axiom, option in (("right-counit", "--counit"), ("left-counit", "--left-counit")):
+        code, out, err = run_cli(capsys, *argv, "--axiom", axiom, option, str(counit_file))
+        assert_one_line_error(code, out, err)
+        assert "counit" in err and "'b'" in err

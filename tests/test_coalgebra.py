@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from walkgrammar import coalgebra, language
 from walkgrammar.coalgebra import (
@@ -93,6 +95,54 @@ def test_apply_at_linearity_on_random_sums():
         s1 = FormalSum([(tuple(rng.choice(words)), rng.randint(-3, 3)) for _ in range(5)])
         s2 = FormalSum([(tuple(rng.choice(words)), rng.randint(-3, 3)) for _ in range(5)])
         assert apply_at(dm, s1 + s2, 1) == apply_at(dm, s1, 1) + apply_at(dm, s2, 1)
+
+
+COEFFS = st.one_of(st.integers(-3, 3), st.fractions(-3, 3, max_denominator=4))
+
+
+def sums(min_len=1, max_len=4):
+    """Random formal sums of words over abcd with small exact coefficients."""
+    word = st.text("abcd", min_size=min_len, max_size=max_len).map(tuple)
+    return st.lists(st.tuples(word, COEFFS), max_size=6).map(FormalSum)
+
+
+@given(sums(), sums(), sums())
+def test_formal_sum_addition_is_an_abelian_group(a, b, c):
+    assert (a + b) + c == a + (b + c)
+    assert a + b == b + a
+    assert a + FormalSum() == a
+    assert a - a == FormalSum()
+
+
+@given(sums(), sums(), COEFFS)
+def test_scaled_distributes_over_addition(a, b, k):
+    assert (a + b).scaled(k) == a.scaled(k) + b.scaled(k)
+
+
+@given(sums(min_len=2), sums(min_len=2), COEFFS, st.sampled_from([1, 2]))
+def test_apply_at_is_linear(a, b, k, slot):
+    delta = coalgebra.coproduct_e()
+    expected = apply_at(delta, a, slot).scaled(k) + apply_at(delta, b, slot)
+    assert apply_at(delta, a.scaled(k) + b, slot) == expected
+
+
+@given(
+    sums(min_len=2),
+    sums(min_len=2),
+    COEFFS,
+    st.sampled_from([1, 2]),
+    st.fixed_dictionaries({x: COEFFS for x in "abcd"}).map(CounitTable),
+)
+def test_apply_counit_at_is_linear(a, b, k, slot, eps):
+    expected = apply_counit_at(eps, a, slot).scaled(k) + apply_counit_at(eps, b, slot)
+    assert apply_counit_at(eps, a.scaled(k) + b, slot) == expected
+
+
+@given(sums(), st.integers(0, 3), st.integers(0, 3))
+def test_iterate_rightmost_composes(s, m, n):
+    delta = coalgebra.coproduct_e()
+    once = iterate_rightmost(delta, s, m + n)
+    assert once == iterate_rightmost(delta, iterate_rightmost(delta, s, m), n)
 
 
 def test_coassociativity_of_four_letter_coproduct():

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from walkgrammar import walk
+from walkgrammar.coalgebra import FormalSum
 from walkgrammar.quantize import CoinPair, hadamard, hadamard_coin, random_unitary
 from walkgrammar.walk import (
     classical_distribution,
@@ -215,12 +216,9 @@ def test_shift_conjugacy_input_validation():
 
 
 def test_commutator_identity_on_basis_element():
-    x = {(0, ""): 1}
-    lhs = walk._signed_diff(
-        walk.dispersion_down(walk.dispersion_up(x)),
-        walk.dispersion_up(walk.dispersion_down(x)),
-    )
-    assert lhs == {(0, "QP"): 1, (0, "PQ"): -1}
+    x = FormalSum.lift(0, "")
+    lhs = walk.dispersion_down(walk.dispersion_up(x)) - walk.dispersion_up(walk.dispersion_down(x))
+    assert lhs == FormalSum([((0, "QP"), 1), ((0, "PQ"), -1)])
 
 
 def test_commutator_hadamard_matrix():
