@@ -300,11 +300,10 @@ def verify_axiom(
     """
     if axiom not in AXIOMS:
         raise ValueError(f"unknown axiom {axiom!r}")
-    if axiom not in ("coassociativity", "right-counit"):
-        if delta_tilde is None and axiom != "left-counit":
-            raise ValueError(f"axiom {axiom!r} needs a second coproduct table")
-        if delta_tilde is not None and delta_tilde.alphabet != delta.alphabet:
-            raise ValueError("coproduct tables must share one alphabet")
+    if delta_tilde is None and axiom not in ("coassociativity", "right-counit", "left-counit"):
+        raise ValueError(f"axiom {axiom!r} needs a second coproduct table")
+    if delta_tilde is not None and delta_tilde.alphabet != delta.alphabet:
+        raise ValueError("coproduct tables must share one alphabet")
     d = delta
     dt = delta if delta_tilde is None else delta_tilde
     eps = counit if axiom == "right-counit" else left_counit

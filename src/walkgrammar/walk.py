@@ -10,6 +10,22 @@ Q-count minus its P-count.  Symbolic states carry the words themselves;
 numeric states carry the summed 2x2 matrix per vertex.
 
 States store occupied vertices contiguously: index i holds vertex 2i - n.
+
+The numeric stepper uses that P and Q are rows of the coin: P has a zero
+second row and Q a zero first row (`CoinPair` enforces both), so for any
+2x2 cell M
+
+    M.P = outer(M[:, 0], P[0])      M.Q = outer(M[:, 1], Q[1]).
+
+The full product also adds M[:, 1] P[1] and M[:, 0] Q[0], which are
+products with exact zeros, and adding a zero leaves a double unchanged.
+So every cell keeps the value the matrix products give, to the last bit;
+only the sign of an entry that is exactly zero may differ (the matrix
+products start each entry from +0).  The sign of a zero never changes a
+nonzero sum or product, so printed probabilities do not change.
+
+One kernel, `_advance`, writes the two outer products into preallocated
+buffers; `run_numeric` swaps two of them from step to step.
 """
 
 from __future__ import annotations
@@ -29,6 +45,8 @@ PROB_TOL = 1e-10
 UNITARITY_TOL = 1e-10
 COMMUTATOR_TOL = 1e-14
 SYMBOLIC_MAX_DEFAULT = 24
+# Three (steps + 1, 2, 2) complex buffers: ~19 MB at the cap.
+NUMERIC_MAX_STEPS = 100_000
 
 
 @dataclass(frozen=True)
@@ -129,21 +147,33 @@ def initial_numeric() -> NumericState:
     return NumericState(0, np.eye(2, dtype=complex)[None, :, :])
 
 
+def _advance(src: np.ndarray, dst: np.ndarray, tmp: np.ndarray, coin: CoinPair) -> None:
+    """Write the m + 1 cells after src's m cells into dst[:m + 1]; tmp holds m cells."""
+    m = len(src)
+    np.multiply(src[:, :, 0, None], coin.P[0], out=dst[:m])
+    dst[m] = 0
+    np.multiply(src[:, :, 1, None], coin.Q[1], out=tmp[:m])
+    dst[1 : m + 1] += tmp[:m]
+
+
 def step_numeric(s: NumericState, coin: CoinPair) -> NumericState:
     n = s.time
-    amps = np.zeros((n + 2, 2, 2), dtype=complex)
-    amps[: n + 1] += s.amps @ coin.P
-    amps[1:] += s.amps @ coin.Q
+    amps = np.empty((n + 2, 2, 2), dtype=complex)
+    _advance(s.amps, amps, np.empty_like(s.amps), coin)
     return NumericState(n + 1, amps)
 
 
 def run_numeric(coin: CoinPair, steps: int) -> NumericState:
     if steps < 0:
         raise ValueError("steps must be >= 0")
-    s = initial_numeric()
-    for _ in range(steps):
-        s = step_numeric(s, coin)
-    return s
+    if steps > NUMERIC_MAX_STEPS:
+        raise ValueError(f"numeric walk capped at {NUMERIC_MAX_STEPS} steps, got {steps}")
+    cur, nxt, tmp = (np.empty((steps + 1, 2, 2), dtype=complex) for _ in range(3))
+    cur[0] = np.eye(2)
+    for n in range(steps):
+        _advance(cur[: n + 1], nxt, tmp, coin)
+        cur, nxt = nxt, cur
+    return NumericState(steps, cur)
 
 
 def word_matrix(word: str, coin: CoinPair) -> np.ndarray:

@@ -78,6 +78,20 @@ def spinor_walk_distribution(u: np.ndarray, psi, steps: int) -> dict[int, float]
     return {k: float(np.sum(np.abs(v) ** 2)) for k, v in field.items()}
 
 
+def matmul_walk(coin, steps: int) -> np.ndarray:
+    """Cells after `steps` steps by the definitional recurrence, full 2x2 products.
+
+    cell'(k) = cell(k+1) @ P + cell(k-1) @ Q, each step into fresh zeros.
+    """
+    amps = np.eye(2, dtype=complex)[None, :, :]
+    for _ in range(steps):
+        new = np.zeros((len(amps) + 1, 2, 2), dtype=complex)
+        new[:-1] += amps @ coin.P
+        new[1:] += amps @ coin.Q
+        amps = new
+    return amps
+
+
 def random_bistochastic(rng: np.random.Generator, dim: int):
     """Exact rational bistochastic matrix: convex mix of permutations."""
     from walkgrammar.graphs import StochMatrix

@@ -291,6 +291,18 @@ def test_coin_file_of_wrong_shape_is_rejected(capsys, tmp_path):
     )
 
 
+@pytest.mark.parametrize("command", ["run", "plot"])
+def test_walk_steps_beyond_the_cap_fail_fast(command):
+    # A subprocess with a timeout: without the cap the stepper runs for hours.
+    src = str(Path(walkgrammar.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-m", "walkgrammar.cli", "walk", command, "--steps", "1000000000000"],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=60,
+    )
+    assert_one_line_error(done.returncode, done.stdout, done.stderr)
+    assert "capped at 100000 steps" in done.stderr
+
+
 @pytest.mark.parametrize(
     "option, blob",
     [
@@ -325,3 +337,22 @@ def test_verify_axiom_names_the_symbol_a_counit_misses(capsys, tmp_path):
         code, out, err = run_cli(capsys, *argv, "--axiom", axiom, option, str(counit_file))
         assert_one_line_error(code, out, err)
         assert "counit" in err and "'b'" in err
+
+
+@pytest.mark.parametrize("axiom", ["coassociativity", "right-counit"])
+def test_verify_axiom_rejects_a_second_table_on_another_alphabet(capsys, tmp_path, axiom):
+    from walkgrammar import coalgebra
+
+    delta_file = tmp_path / "delta.json"
+    delta_file.write_text(json.dumps(coalgebra.coproduct_e().to_json()))
+    counit_file = tmp_path / "counit.json"
+    counit_file.write_text(json.dumps(coalgebra.counit_e().to_json()))
+    argv = ["verify", "axiom", "--axiom", axiom, "--delta", str(delta_file)]
+    argv += ["--counit", str(counit_file)]
+    other_file = tmp_path / "other.json"
+    other_file.write_text(json.dumps(coalgebra.de_bruijn_markov_pair(3)[0].to_json()))
+    code, out, err = run_cli(capsys, *argv, "--delta-tilde", str(other_file))
+    assert_one_line_error(code, out, err)
+    assert err == "error: coproduct tables must share one alphabet\n"
+    code, out, _ = run_cli(capsys, *argv, "--delta-tilde", str(delta_file))
+    assert code == 0 and out == f"PASS  {axiom}\n"

@@ -3,11 +3,21 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from walkgrammar import walk
 from walkgrammar.coalgebra import FormalSum
-from walkgrammar.quantize import CoinPair, hadamard, hadamard_coin, random_unitary
+from walkgrammar.quantize import (
+    CoinPair,
+    coin_from_angles,
+    hadamard,
+    hadamard_coin,
+    random_unitary,
+)
 from walkgrammar.walk import (
+    NUMERIC_MAX_STEPS,
+    PROB_TOL,
     classical_distribution,
     commutator_check,
     distribution,
@@ -21,7 +31,7 @@ from walkgrammar.walk import (
     unitarity_defect,
 )
 
-from helpers import spinor_walk_distribution
+from helpers import matmul_walk, spinor_walk_distribution
 
 XI_TABLE = {
     0: {0: {""}},
@@ -86,6 +96,45 @@ def test_step_numeric_first_step():
     s1 = step_numeric(walk.initial_numeric(), coin)
     np.testing.assert_allclose(s1.cell(-1), coin.P, atol=1e-15)
     np.testing.assert_allclose(s1.cell(1), coin.Q, atol=1e-15)
+
+
+def test_run_numeric_equals_the_matmul_recurrence_for_hadamard():
+    coin = hadamard_coin()
+    for steps in (0, 1, 2, 5, 50, 300):
+        assert np.array_equal(run_numeric(coin, steps).amps, matmul_walk(coin, steps))
+
+
+ANGLE = st.floats(-math.pi, math.pi, allow_nan=False)
+
+
+@settings(max_examples=30, deadline=None)
+@given(theta=ANGLE, phi1=ANGLE, phi2=ANGLE, steps=st.integers(0, 300))
+def test_run_numeric_equals_the_matmul_recurrence(theta, phi1, phi2, steps):
+    coin = CoinPair.from_unitary(coin_from_angles(theta, phi1, phi2))
+    assert np.array_equal(run_numeric(coin, steps).amps, matmul_walk(coin, steps))
+
+
+@settings(max_examples=30, deadline=None)
+@given(theta=ANGLE, phi1=ANGLE, phi2=ANGLE, steps=st.integers(0, 300))
+def test_step_numeric_continues_run_numeric(theta, phi1, phi2, steps):
+    coin = CoinPair.from_unitary(coin_from_angles(theta, phi1, phi2))
+    stepped = step_numeric(run_numeric(coin, steps), coin)
+    assert stepped.time == steps + 1
+    assert np.array_equal(stepped.amps, run_numeric(coin, steps + 1).amps)
+
+
+def test_distribution_at_400_steps_against_spinor_oracle():
+    u = coin_from_angles(0.7, 0.3, -1.1)
+    psi = np.array([0.6, 0.8j])
+    got = distribution(run_numeric(CoinPair.from_unitary(u), 400), psi)
+    assert got == pytest.approx(spinor_walk_distribution(u, psi, 400), abs=PROB_TOL)
+
+
+def test_run_numeric_step_cap():
+    with pytest.raises(ValueError, match=f"capped at {NUMERIC_MAX_STEPS} steps"):
+        run_numeric(hadamard_coin(), NUMERIC_MAX_STEPS + 1)
+    with pytest.raises(ValueError, match=">= 0"):
+        run_numeric(hadamard_coin(), -1)
 
 
 def test_hadamard_two_step_distribution():
