@@ -14,7 +14,6 @@ from .coalgebra import (
 )
 from .graphs import (
     DirectedGraph,
-    KrausEntry,
     StochMatrix,
     bernoulli_matrix,
     de_bruijn_graph,
@@ -23,14 +22,13 @@ from .graphs import (
     ks_entropy,
     x_decomposition,
 )
-from .language import check_lemma, contract, generate, uncontract, word_index, words_at_vertex
+from .language import check_lemma, contract, generate, word_index, words_at_vertex
 from .orbits import (
     Pattern,
     canonicalize,
     complete,
     decompose,
     fundamental_orbits,
-    glue,
     grow,
     orbit_count_lower_bound,
     orbit_index,
@@ -51,11 +49,9 @@ from .quantize import (
 from .walk import (
     NumericState,
     SymbolicState,
-    classical_distribution,
     commutator_check,
     distribution,
     evaluate,
-    initial_numeric,
     initial_symbolic,
     run_numeric,
     run_symbolic,

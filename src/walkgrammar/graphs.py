@@ -148,27 +148,7 @@ def ks_entropy(b: StochMatrix) -> float:
     return -sum(float(x) * math.log(float(x)) for row in b.rows for x in row if x) / m
 
 
-@dataclass(frozen=True)
-class KrausEntry:
-    """A matrix whose nonzero entries sit in a single row.
-
-    Entries are exact rationals for classical row decompositions and complex
-    floats for quantised ones.
-    """
-
-    matrix: tuple[tuple, ...]
-    row: int
-
-    def __post_init__(self):
-        for i, r in enumerate(self.matrix):
-            if i != self.row and any(x != 0 for x in r):
-                raise ValueError(f"nonzero entries outside row {self.row}")
-
-    def dense(self) -> np.ndarray:
-        return np.array([[complex(x) for x in r] for r in self.matrix])
-
-
-def x_decomposition(b: StochMatrix) -> list[KrausEntry]:
+def x_decomposition(b: StochMatrix) -> list[tuple[tuple[Fraction, ...], ...]]:
     """Split B into row matrices X_h keeping row h and zeroing the rest.
 
     The partition property sum_h X_h = B is verified exactly before
@@ -176,13 +156,10 @@ def x_decomposition(b: StochMatrix) -> list[KrausEntry]:
     """
     m = b.dimension
     zero_row = tuple(Fraction(0) for _ in range(m))
-    entries = []
-    for h in range(m):
-        matrix = tuple(b.rows[i] if i == h else zero_row for i in range(m))
-        entries.append(KrausEntry(matrix, h))
+    entries = [tuple(b.rows[i] if i == h else zero_row for i in range(m)) for h in range(m)]
     for i in range(m):
         for j in range(m):
-            if sum(e.matrix[i][j] for e in entries) != b.rows[i][j]:
+            if sum(e[i][j] for e in entries) != b.rows[i][j]:
                 raise AssertionError(f"row matrices do not sum to B at ({i}, {j})")
     return entries
 
@@ -216,9 +193,9 @@ def verify_x_relations(b: StochMatrix) -> XRelationsReport:
     failures = []
     for h in range(m):
         for l in range(m):
-            lhs = _mat_mul_exact(entries[l].matrix, entries[h].matrix)
+            lhs = _mat_mul_exact(entries[l], entries[h])
             coeff = b.rows[h][l]
-            rhs = tuple(tuple(coeff * x for x in row) for row in entries[l].matrix)
+            rhs = tuple(tuple(coeff * x for x in row) for row in entries[l])
             if lhs != rhs:
                 failures.append((h, l))
     return XRelationsReport(not failures, tuple(failures))

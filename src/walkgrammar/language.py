@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 from . import coalgebra
 from .coalgebra import CoproductTable, FormalSum
+from .walk import require_word_time
 
 LETTERS = "".join(coalgebra.FOUR_LETTERS)
 INDEX = {"P": -1, "Q": 1}
@@ -32,18 +33,17 @@ def _images(table: CoproductTable) -> dict[str, tuple[str, ...]]:
     return {x: tuple(sorted("".join(w) for w in table.apply(x).words())) for x in table.alphabet}
 
 
-# Last-letter rewrite rules of the two grammars, read off the coproduct
-# tables.  Applying the Markov rule appends one letter along an edge of the
-# extension graph; the coassociative rule replaces the last letter by one
-# of its two coproduct terms.
+# The coproduct tables whose rightmost iteration drives the two grammars,
+# and their last-letter rewrite rules.  Applying the Markov rule appends
+# one letter along an edge of the extension graph; the coassociative rule
+# replaces the last letter by one of its two coproduct terms.
 _MARKOV, _MARKOV_IN = coalgebra.markov_pair_e()
-MARKOV_RULES = _images(_MARKOV)
-COASSOC_RULES = _images(coalgebra.coproduct_e())
-GRAMMARS = {"markov": MARKOV_RULES, "coassoc": COASSOC_RULES}
+GRAMMAR_TABLES = {"markov": _MARKOV, "coassoc": coalgebra.coproduct_e()}
+COASSOC_RULES = _images(GRAMMAR_TABLES["coassoc"])
 
 # Out- and in-neighbours in the extension graph: x -> y iff x's second
 # index is y's first.
-SUCCESSORS = {x: "".join(w[1] for w in images) for x, images in MARKOV_RULES.items()}
+SUCCESSORS = {x: "".join(w[1] for w in images) for x, images in _images(_MARKOV).items()}
 PREDECESSORS = {y: "".join(w[0] for w in images) for y, images in _images(_MARKOV_IN).items()}
 
 
@@ -65,55 +65,35 @@ def contract(w: str) -> str:
     return SYMBOL[INDEX_PAIRS[w[0]][0]] + "".join(SYMBOL[INDEX_PAIRS[x][1]] for x in w)
 
 
-def uncontract(m: str) -> str:
-    """The unique letter word contracting to m (defined for length >= 2)."""
-    if len(m) < 2:
-        raise ValueError("words of length < 2 have no letter preimage")
-    if set(m) - {"P", "Q"}:
-        raise ValueError(f"expected a P/Q word, got {m!r}")
-    return "".join(PAIR_TO_LETTER[(INDEX[x], INDEX[y])] for x, y in zip(m, m[1:]))
-
-
 def word_index(w: str) -> int:
     """Sum of the path's vertex indices; the walk vertex of the word."""
     require_path_word(w)
     return INDEX_PAIRS[w[0]][0] + sum(INDEX_PAIRS[x][1] for x in w)
 
 
-def generate(t: int, grammar: str = "markov") -> frozenset[str]:
-    """All time-t words (letter length t - 1), deduplicated.
-
-    Both grammars return the same set: every path of length t - 1 in the
-    extension graph, 2^t words in total.
-    """
-    rules = _rules(grammar)
-    if t < 2:
-        raise ValueError(f"the language starts at t = 2, got t = {t}")
-    words = set(LETTERS)
-    for _ in range(t - 2):
-        words = {w[:-1] + image for w in words for image in rules[w[-1]]}
-    return frozenset(words)
-
-
-def _rules(grammar: str) -> dict[str, tuple[str, str]]:
+def grammar_table(grammar: str) -> CoproductTable:
+    """The coproduct table whose rightmost iteration drives the grammar."""
     try:
-        return GRAMMARS[grammar]
+        return GRAMMAR_TABLES[grammar]
     except KeyError:
         raise ValueError(f"unknown grammar {grammar!r}; pick markov or coassoc") from None
 
 
-def grammar_table(grammar: str) -> CoproductTable:
-    """The coproduct table whose rightmost iteration drives the grammar."""
-    _rules(grammar)
-    return coalgebra.markov_pair_e()[0] if grammar == "markov" else coalgebra.coproduct_e()
+def generate(t: int, grammar: str = "markov") -> frozenset[str]:
+    """All time-t words (letter length t - 1), deduplicated.
 
-
-def generate_sum(t: int, grammar: str = "markov") -> FormalSum:
-    """Multiset-preserving variant of `generate`, as a formal sum."""
+    Both grammars return the same set: every path of length t - 1 in the
+    extension graph, 2^t words in total.  t is capped at
+    `walk.SYMBOLIC_MAX_DEFAULT`, the symbolic walk's cap.
+    """
+    rules = _images(grammar_table(grammar))
     if t < 2:
         raise ValueError(f"the language starts at t = 2, got t = {t}")
-    seed = FormalSum.basis(LETTERS)
-    return coalgebra.iterate_rightmost(grammar_table(grammar), seed, t - 2)
+    require_word_time(t)
+    words = set(LETTERS)
+    for _ in range(t - 2):
+        words = {w[:-1] + image for w in words for image in rules[w[-1]]}
+    return frozenset(words)
 
 
 def words_at_vertex(t: int, k: int) -> frozenset[str]:
@@ -155,7 +135,8 @@ def check_lemma(lemma: str, depth: int = 1) -> LemmaReport:
     mixed-coassoc: (id (x) coassoc) after markov = (id (x) markov) after
     markov, letter by letter.
     corollary-equality: rightmost iterates of the two coproducts agree on
-    a+b+c+d up to the given depth, as exact formal sums.
+    a+b+c+d up to the given depth, as exact formal sums, and the depth-n
+    iterate is the multiset of 2^(n+2) words, each with coefficient 1.
     """
     if lemma not in LEMMAS:
         raise ValueError(f"unknown lemma {lemma!r}")
@@ -203,5 +184,8 @@ def check_lemma(lemma: str, depth: int = 1) -> LemmaReport:
             checked += 1
             if left != right:
                 failures.append(f"iterates differ at depth {n}")
+                break
+            if len(left) != 2 ** (n + 2) or any(c != 1 for _, c in left):
+                failures.append(f"depth-{n} iterate is not {2 ** (n + 2)} words of coefficient 1")
                 break
     return LemmaReport(lemma, not failures, checked, tuple(failures))

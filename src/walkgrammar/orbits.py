@@ -1,11 +1,12 @@
-"""Periodic orbits of the extension graph: patterns, reading, growth, gluing.
+"""Periodic orbits of the extension graph: patterns, reading, growth, decomposition.
 
 A pattern is a closed composable letter cycle stored as its
 lexicographically least rotation (a < b < c < d).  Reading a length-n
 pattern yields its n cyclic windows of length n - 1, deduplicated;
 completion closes an open path word with the unique letter that returns
 to its start; growth applies the coassociative coproduct at every cyclic
-position, producing all patterns one letter longer.
+position, producing all patterns one letter longer; decomposition peels
+a pattern into simple cycles and regluing splices them back into it.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from .language import (
     SUCCESSORS,
     require_path_word,
 )
+from .walk import require_word_time
 
 
 def _least_rotation(s: str) -> str:
@@ -102,6 +104,7 @@ def orbits_at_time(t: int) -> frozenset[Pattern]:
     """All length-t patterns, grown from the completions of the time-2 words."""
     if t < 2:
         raise ValueError(f"periodic orbits start at t = 2, got t = {t}")
+    require_word_time(t)
     pats = frozenset(complete(x) for x in LETTERS)
     for _ in range(t - 2):
         pats = frozenset(q for p in pats for q in grow(p))
@@ -131,29 +134,6 @@ def fundamental_orbits() -> frozenset[Pattern]:
     for letter in LETTERS:
         search(letter, letter, frozenset(letter), letter)
     return frozenset(cycles)
-
-
-def glue(p1: Pattern, p2: Pattern, at: int | None = None) -> Pattern:
-    """Splice p2 into p1 at a shared letter.
-
-    `at` picks the position in p1's canonical letters where the detour is
-    taken; default is the first position whose letter also occurs in p2.
-    The result has length len(p1) + len(p2) and the combined letter
-    multiset.
-    """
-    shared = set(p1.letters) & set(p2.letters)
-    if not shared:
-        raise ValueError("no graphic intersection")
-    if at is None:
-        at = next(i for i, x in enumerate(p1.letters) if x in shared)
-    elif not 0 <= at < len(p1.letters):
-        raise ValueError(f"position {at} out of range for {p1.letters!r}")
-    elif p1.letters[at] not in shared:
-        raise ValueError(f"letter {p1.letters[at]!r} at position {at} does not occur in {p2.letters!r}")
-    anchor = p1.letters[at]
-    j = p2.letters.index(anchor)
-    rotated = p2.letters[j:] + p2.letters[:j]
-    return canonicalize(p1.letters[:at] + rotated + p1.letters[at:])
 
 
 @dataclass(frozen=True)

@@ -16,8 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import KrausEntry
-
 MATRIX_TOL = 1e-12
 
 
@@ -56,7 +54,7 @@ def random_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
     return q * (d / np.abs(d))
 
 
-def row_split(u: np.ndarray, tol: float = MATRIX_TOL) -> list[KrausEntry]:
+def row_split(u: np.ndarray, tol: float = MATRIX_TOL) -> list[np.ndarray]:
     """Split a unitary into one matrix per row: Q_h keeps row h, zeroes the rest.
 
     The split partitions entries, so sum_h Q_h = U exactly, and pointwise
@@ -64,14 +62,8 @@ def row_split(u: np.ndarray, tol: float = MATRIX_TOL) -> list[KrausEntry]:
     bistochastic matrix B_ij = |U_ij|^2.
     """
     u = assert_unitary(u, tol)
-    n = u.shape[0]
-    entries = []
-    for h in range(n):
-        rows = tuple(
-            tuple(complex(u[i, j]) if i == h else 0j for j in range(n)) for i in range(n)
-        )
-        entries.append(KrausEntry(rows, h))
-    return entries
+    rows = np.arange(u.shape[0])[:, None]
+    return [np.where(rows == h, u, 0) for h in range(u.shape[0])]
 
 
 @dataclass(frozen=True)
@@ -93,11 +85,10 @@ class CoinPair:
 
     @classmethod
     def from_unitary(cls, u: np.ndarray, tol: float = MATRIX_TOL) -> "CoinPair":
-        u = assert_unitary(u, tol)
-        if u.shape != (2, 2):
-            raise ValueError("coin unitaries are 2x2")
         parts = row_split(u, tol)
-        return cls(parts[0].dense(), parts[1].dense())
+        if len(parts) != 2:
+            raise ValueError("coin unitaries are 2x2")
+        return cls(*parts)
 
     @property
     def unitary(self) -> np.ndarray:
@@ -125,7 +116,7 @@ class ChannelReport:
 
 def verify_channel(entries, tol: float = MATRIX_TOL) -> ChannelReport:
     """Kraus-family checks: sum QQ+ = I, sum Q+Q = I, and Q_l Q_h+ = 0 for l != h."""
-    mats = [e.dense() if isinstance(e, KrausEntry) else np.asarray(e, dtype=complex) for e in entries]
+    mats = [np.asarray(e, dtype=complex) for e in entries]
     if not mats:
         raise ValueError("need at least one Kraus operator")
     n = mats[0].shape[0]

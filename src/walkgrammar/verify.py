@@ -7,6 +7,8 @@ the module under test.
 
 from __future__ import annotations
 
+import math
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -190,27 +192,31 @@ def language_checks(max_t: int) -> list[CheckResult]:
     state = walk.run_symbolic(min(max_t, walk.SYMBOLIC_MAX_DEFAULT))
     for k in state.vertices():
         words = language.words_at_vertex(state.time, k)
-        if {language.contract(w) for w in words} != set(state.cell(k)):
+        contracted = {language.contract(w) for w in words}
+        if len(contracted) != len(words) or contracted != set(state.cell(k)):
             ok = False
     results.append(CheckResult("letter words match walk cells under contraction", ok))
     return results
 
 
 def orbit_checks(max_t: int) -> list[CheckResult]:
+    walk.require_word_time(max_t, "max_t")
     results = []
-    ok = all(orbits.orbits_at_time(t) == closed_walks(t) for t in range(2, max_t + 1))
+    at_time = {t: orbits.orbits_at_time(t) for t in range(2, max_t + 1)}
+    by_index: dict[int, dict[int, list[orbits.Pattern]]] = {}
+    for t, pats in at_time.items():
+        groups = by_index[t] = {}
+        for p in pats:
+            groups.setdefault(orbits.orbit_index(p), []).append(p)
+
+    ok = all(pats == closed_walks(t) for t, pats in at_time.items())
     results.append(CheckResult("growth reaches exactly the closed walks", ok))
 
     ok = True
     for t in range(3, max_t + 1):
-        pats = orbits.orbits_at_time(t)
         for k in range(-t, t + 1, 2):
-            words = language.words_at_vertex(t, k)
-            read_union = set()
-            for p in pats:
-                if orbits.orbit_index(p) == k:
-                    read_union |= orbits.read(p)
-            if read_union != words:
+            read_union = set().union(*(orbits.read(p) for p in by_index[t].get(k, ())))
+            if read_union != language.words_at_vertex(t, k):
                 ok = False
     results.append(CheckResult("orbit readings cover the words at every vertex", ok))
 
@@ -221,14 +227,11 @@ def orbit_checks(max_t: int) -> list[CheckResult]:
     )
     results.append(CheckResult("completion/reading duality", ok))
 
-    ok = True
-    for t in range(2, max_t + 1):
-        counts: dict[int, int] = {}
-        for p in orbits.orbits_at_time(t):
-            counts[orbits.orbit_index(p)] = counts.get(orbits.orbit_index(p), 0) + 1
-        for k, count in counts.items():
-            if count < orbits.orbit_count_lower_bound(t, k):
-                ok = False
+    ok = all(
+        len(pats) >= orbits.orbit_count_lower_bound(t, k)
+        for t, groups in by_index.items()
+        for k, pats in groups.items()
+    )
     results.append(CheckResult("orbit counting bound", ok))
 
     fundamentals = orbits.fundamental_orbits()
@@ -237,13 +240,11 @@ def orbit_checks(max_t: int) -> list[CheckResult]:
 
     ok = True
     for t in range(2, min(max_t, 12) + 1):
-        for p in orbits.orbits_at_time(t):
+        for p in at_time[t]:
             dec = orbits.decompose(p)
             pieces = dec.fundamentals()
             if not set(pieces) <= fundamentals:
                 ok = False
-            from collections import Counter
-
             if sum((Counter(q.letters) for q in pieces), Counter()) != Counter(p.letters):
                 ok = False
             if dec.reglue() != p:
@@ -284,12 +285,19 @@ def quantize_checks(seed: int = 11, samples: int = 40) -> list[CheckResult]:
             all(bool(graphs.verify_x_relations(graphs.bernoulli_matrix(n))) for n in range(2, 7)),
         )
     )
+    ok = graphs.ks_entropy(graphs.regular_system_matrix()) == 0.0 and all(
+        abs(graphs.ks_entropy(graphs.bernoulli_matrix(n)) - math.log(n)) <= 1e-12
+        for n in range(2, 7)
+    )
+    name = "KS entropy is log n on the uniform 1/n matrices (n = 2..6) and 0 on the regular system"
+    results.append(CheckResult(name, ok))
     return results
 
 
 def run_all(max_t: int = 8) -> list[CheckResult]:
     if max_t < 3:
         raise ValueError("need max_t >= 3")
+    walk.require_word_time(max_t, "max_t")
     results = []
     results += coalgebra_checks()
     results += lemma_checks(depth=max(1, max_t - 2))

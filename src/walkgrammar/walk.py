@@ -116,6 +116,14 @@ def run_symbolic(steps: int, symbolic_max: int = SYMBOLIC_MAX_DEFAULT) -> Symbol
     return s
 
 
+def require_word_time(t: int, name: str = "t") -> None:
+    """Refuse a time past SYMBOLIC_MAX_DEFAULT before a set of ~2^t words is built."""
+    if t > SYMBOLIC_MAX_DEFAULT:
+        raise ValueError(
+            f"{name} = {t} exceeds the word-set cap {SYMBOLIC_MAX_DEFAULT} (2^{name} words)"
+        )
+
+
 @dataclass(frozen=True)
 class NumericState:
     """Summed word matrices per occupied vertex; amps[i] belongs to vertex 2i - n."""
@@ -141,10 +149,6 @@ class NumericState:
     def items(self):
         for i in range(self.time + 1):
             yield 2 * i - self.time, self.amps[i]
-
-
-def initial_numeric() -> NumericState:
-    return NumericState(0, np.eye(2, dtype=complex)[None, :, :])
 
 
 def _advance(src: np.ndarray, dst: np.ndarray, tmp: np.ndarray, coin: CoinPair) -> None:
@@ -218,35 +222,6 @@ def distribution(s: NumericState, psi: Sequence[complex]) -> dict[int, float]:
     if not abs(total - 1.0) <= PROB_TOL:
         raise ValueError(f"probabilities sum to {total!r}, expected 1")
     return {2 * i - s.time: float(p) for i, p in enumerate(probs)}
-
-
-def mixed_distribution(
-    components: Iterable[tuple[float, Sequence[complex]]],
-    coin: CoinPair,
-    steps: int,
-) -> dict[int, float]:
-    """Weighted mixture of per-spinor walk distributions.
-
-    Callers supply the spectral decomposition (p_i, psi_i) themselves; no
-    eigendecomposition happens here.
-    """
-    components = list(components)
-    weights = [float(p) for p, _ in components]
-    if not abs(sum(weights) - 1.0) <= PROB_TOL:
-        raise ValueError("mixture weights must sum to 1")
-    state = run_numeric(coin, steps)
-    out: dict[int, float] = {k: 0.0 for k in state.vertices()}
-    for weight, psi in components:
-        for k, p in distribution(state, psi).items():
-            out[k] += weight * p
-    return out
-
-
-def classical_distribution(n: int) -> dict[int, Fraction]:
-    """Binomial law of the +-1 coin-flip walk on the parity lattice."""
-    if n < 0:
-        raise ValueError("time must be >= 0")
-    return {k: Fraction(math.comb(n, (n - k) // 2), 2**n) for k in range(-n, n + 1, 2)}
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,6 @@
 import json
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -301,6 +302,33 @@ def test_walk_steps_beyond_the_cap_fail_fast(command):
     )
     assert_one_line_error(done.returncode, done.stdout, done.stderr)
     assert "capped at 100000 steps" in done.stderr
+
+
+def _limit_memory():
+    # 1 GiB of address space: a regression that builds the 2^N words fails
+    # with MemoryError instead of exhausting the machine.
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["lang", "generate", "--t", "1000000"],
+        ["lang", "generate", "--t", "1000000", "--vertex", "0"],
+        ["orbits", "enumerate", "--t", "1000000"],
+        ["verify", "all", "--max-t", "1000000"],
+        ["orbits", "verify", "--max-t", "1000000"],
+    ],
+)
+def test_word_set_sizes_beyond_the_cap_fail_fast(argv):
+    src = str(Path(walkgrammar.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-m", "walkgrammar.cli", *argv],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=60,
+        preexec_fn=_limit_memory,
+    )
+    assert_one_line_error(done.returncode, done.stdout, done.stderr)
+    assert "exceeds the word-set cap 24" in done.stderr
 
 
 @pytest.mark.parametrize(

@@ -4,10 +4,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from walkgrammar import graphs
+from walkgrammar import graphs, verify
 from walkgrammar.graphs import (
     DirectedGraph,
-    KrausEntry,
     StochMatrix,
     bernoulli_matrix,
     de_bruijn_graph,
@@ -100,6 +99,11 @@ def test_ks_entropy_of_uniform_matrices():
         assert ks_entropy(bernoulli_matrix(n)) == pytest.approx(math.log(n), abs=1e-12)
 
 
+def test_verify_checks_ks_entropy():
+    (check,) = [c for c in verify.quantize_checks() if c.name.startswith("KS entropy")]
+    assert check.ok
+
+
 def test_ks_entropy_rejects_non_bistochastic():
     b = StochMatrix.from_rows([[1, 0], [Fraction(1, 2), Fraction(1, 2)]])
     assert not b.is_bistochastic
@@ -110,11 +114,11 @@ def test_ks_entropy_rejects_non_bistochastic():
 def test_x_decomposition_of_uniform_matrix():
     half = Fraction(1, 2)
     x1, x2 = x_decomposition(bernoulli_matrix(2))
-    assert x1.matrix == ((half, half), (0, 0)) and x1.row == 0
-    assert x2.matrix == ((0, 0), (half, half)) and x2.row == 1
+    assert x1 == ((half, half), (0, 0))
+    assert x2 == ((0, 0), (half, half))
     # X1 X2 = B_12 X2 with the product read in application order (X1 first).
-    product = graphs._mat_mul_exact(x2.matrix, x1.matrix)
-    assert product == tuple(tuple(half * v for v in row) for row in x2.matrix)
+    product = graphs._mat_mul_exact(x2, x1)
+    assert product == tuple(tuple(half * v for v in row) for row in x2)
 
 
 def test_x_decomposition_sums_to_b_on_random_matrices():
@@ -125,7 +129,7 @@ def test_x_decomposition_sums_to_b_on_random_matrices():
             entries = x_decomposition(b)
             for i in range(dim):
                 for j in range(dim):
-                    assert sum(e.matrix[i][j] for e in entries) == b.rows[i][j]
+                    assert sum(e[i][j] for e in entries) == b.rows[i][j]
 
 
 def test_x_relations_on_uniform_and_identity():
@@ -140,11 +144,6 @@ def test_x_relations_report_failures_on_permutation():
     report = verify_x_relations(regular_system_matrix())
     assert not report.ok
     assert report.failures
-
-
-def test_kraus_entry_confines_nonzero_to_row():
-    with pytest.raises(ValueError):
-        KrausEntry(((1, 0), (1, 0)), 0)
 
 
 def test_is_unistochastic_witness():

@@ -1,12 +1,11 @@
 import pytest
 
-from walkgrammar import language
+from walkgrammar import language, walk
+from walkgrammar.coalgebra import FormalSum, iterate_rightmost
 from walkgrammar.language import (
     check_lemma,
     contract,
     generate,
-    generate_sum,
-    uncontract,
     word_index,
     words_at_vertex,
 )
@@ -31,22 +30,6 @@ def test_contract_rejects_bad_junctions():
         contract("")
     with pytest.raises(ValueError, match="unknown"):
         contract("axb")
-
-
-def test_uncontract_examples():
-    assert uncontract("PPQP") == "abc"
-    assert uncontract("PP") == "a"
-    assert uncontract("QQPQ") == "dcb"
-    with pytest.raises(ValueError):
-        uncontract("P")
-    with pytest.raises(ValueError):
-        uncontract("PX")
-
-
-def test_contract_uncontract_round_trip():
-    for t in range(2, 11):
-        for w in generate(t):
-            assert uncontract(contract(w)) == w
 
 
 def test_word_index_examples():
@@ -89,10 +72,22 @@ def test_grammar_equivalence():
 
 
 def test_generate_sum_has_unit_coefficients():
+    # The rightmost iterate of either grammar table on a+b+c+d is the
+    # multiset of time-t words, each exactly once.
     for grammar in ("markov", "coassoc"):
-        s = generate_sum(5, grammar)
+        seed = FormalSum.basis(language.LETTERS)
+        s = iterate_rightmost(language.grammar_table(grammar), seed, 5 - 2)
         assert all(c == 1 for _, c in s)
         assert {"".join(w) for w in s.words()} == generate(5, grammar)
+
+
+def test_generate_refuses_times_past_the_cap():
+    # Refused before anything is built: at the cap + 1 that is 2^25 words.
+    cap = walk.SYMBOLIC_MAX_DEFAULT
+    for call in (lambda: generate(cap + 1), lambda: generate(cap + 1, "coassoc"),
+                 lambda: words_at_vertex(cap + 1, 1)):
+        with pytest.raises(ValueError, match="word-set cap"):
+            call()
 
 
 def test_time4_words_at_minus_two_contract_to_walk_cell():

@@ -1,9 +1,12 @@
+import functools
 from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from walkgrammar import orbits
+from walkgrammar import orbits, verify, walk
 from walkgrammar.language import contract, generate, word_index, words_at_vertex
 from walkgrammar.orbits import (
     Pattern,
@@ -11,7 +14,6 @@ from walkgrammar.orbits import (
     complete,
     decompose,
     fundamental_orbits,
-    glue,
     grow,
     orbit_count_lower_bound,
     orbit_index,
@@ -32,6 +34,21 @@ def test_canonicalize_rotations():
     assert pat("aaa").letters == "aaa"
     assert pat("cbd").letters == "bdc"
     assert pat("cbd") == pat("bdc") == pat("dcb")
+
+
+@functools.lru_cache(maxsize=None)
+def _closed_cycles(n):
+    return sorted(closed_cycles(n))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 10).flatmap(lambda n: st.sampled_from(_closed_cycles(n))), st.integers(0, 9))
+def test_canonicalize_is_rotation_invariant_and_idempotent(cycle, offset):
+    p = canonicalize(cycle)
+    assert p.letters == cycle
+    r = offset % len(cycle)
+    assert canonicalize(cycle[r:] + cycle[:r]) == p
+    assert canonicalize(p.letters) == p
 
 
 def test_canonicalize_rejects_open_paths():
@@ -165,22 +182,14 @@ def test_fundamental_orbits_against_johnson_enumeration():
     assert {p.letters for p in fundamental_orbits()} == simple_cycles_networkx()
 
 
-def test_glue_examples():
-    assert glue(pat("abdc"), pat("d")) == pat("abddc")
-    assert glue(pat("abc"), pat("bc")) == pat("abcbc")
-    assert glue(pat("a"), pat("a")) == pat("aa")
-
-
-def test_glue_properties_and_errors():
-    glued = glue(pat("abc"), pat("bdc"))
-    assert len(glued) == 6
-    assert Counter(glued.letters) == Counter("abc") + Counter("bdc")
-    with pytest.raises(ValueError, match="no graphic intersection"):
-        glue(pat("a"), pat("d"))
-    with pytest.raises(ValueError):
-        glue(pat("abc"), pat("bc"), at=0)  # a does not occur in bc
-    with pytest.raises(ValueError):
-        glue(pat("abc"), pat("bc"), at=7)
+def test_orbit_sets_past_the_cap_are_refused_before_growth():
+    cap = walk.SYMBOLIC_MAX_DEFAULT
+    with pytest.raises(ValueError, match="word-set cap"):
+        orbits_at_time(cap + 1)
+    with pytest.raises(ValueError, match="word-set cap"):
+        verify.orbit_checks(cap + 1)
+    with pytest.raises(ValueError, match="word-set cap"):
+        verify.run_all(cap + 1)
 
 
 def test_decompose_examples():

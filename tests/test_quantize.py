@@ -21,9 +21,10 @@ RT2 = 1 / np.sqrt(2)
 
 def test_row_split_of_hadamard():
     p, q = row_split(hadamard())
-    assert p.row == 0 and q.row == 1
-    np.testing.assert_allclose(p.dense(), RT2 * np.array([[1, 1], [0, 0]]), atol=1e-15)
-    np.testing.assert_allclose(q.dense(), RT2 * np.array([[0, 0], [1, -1]]), atol=1e-15)
+    np.testing.assert_allclose(p, RT2 * np.array([[1, 1], [0, 0]]), atol=1e-15)
+    np.testing.assert_allclose(q, RT2 * np.array([[0, 0], [1, -1]]), atol=1e-15)
+    # The zeroed rows are +0 in both parts, so P + Q reproduces U bit for bit.
+    assert not np.signbit(p[1].view(float)).any() and not np.signbit(q[0].view(float)).any()
 
 
 def test_row_split_partitions_entries_exactly():
@@ -31,15 +32,15 @@ def test_row_split_partitions_entries_exactly():
     for dim in (2, 3, 4):
         u = random_unitary(dim, rng)
         parts = row_split(u)
-        assert np.array_equal(sum(p.dense() for p in parts), u)
+        assert np.array_equal(sum(parts), u)
 
 
 def test_row_split_of_identity():
     parts = row_split(np.eye(3))
     for h, ph in enumerate(parts):
         for l, pl in enumerate(parts):
-            target = pl.dense() if h == l else np.zeros((3, 3))
-            np.testing.assert_allclose(ph.dense() @ pl.dense(), target, atol=1e-15)
+            target = pl if h == l else np.zeros((3, 3))
+            np.testing.assert_allclose(ph @ pl, target, atol=1e-15)
 
 
 def test_row_split_rejects_non_unitary():
@@ -59,7 +60,7 @@ def test_pointwise_link_to_x_decomposition():
     xs = x_decomposition(bernoulli_matrix(2))
     qs = row_split(hadamard())
     for x, q in zip(xs, qs):
-        np.testing.assert_allclose(np.abs(q.dense()) ** 2, x.dense().real, atol=1e-12)
+        np.testing.assert_allclose(np.abs(q) ** 2, np.array(x, dtype=float), atol=1e-12)
 
 
 def test_coin_pair_invariants():

@@ -18,7 +18,6 @@ from walkgrammar.quantize import (
 from walkgrammar.walk import (
     NUMERIC_MAX_STEPS,
     PROB_TOL,
-    classical_distribution,
     commutator_check,
     distribution,
     evaluate,
@@ -93,7 +92,7 @@ def test_symbolic_cap():
 
 def test_step_numeric_first_step():
     coin = hadamard_coin()
-    s1 = step_numeric(walk.initial_numeric(), coin)
+    s1 = step_numeric(run_numeric(coin, 0), coin)
     np.testing.assert_allclose(s1.cell(-1), coin.P, atol=1e-15)
     np.testing.assert_allclose(s1.cell(1), coin.Q, atol=1e-15)
 
@@ -212,29 +211,6 @@ def test_unitarity_at_long_times():
     assert unitarity_defect(run_numeric(hadamard_coin(), 200)) < 1e-10
 
 
-def test_classical_distribution():
-    assert classical_distribution(0) == {0: Fraction(1)}
-    assert classical_distribution(2) == {
-        -2: Fraction(1, 4),
-        0: Fraction(1, 2),
-        2: Fraction(1, 4),
-    }
-    assert classical_distribution(4)[0] == Fraction(3, 8)
-    assert sum(classical_distribution(9).values()) == 1
-
-
-def test_classical_distribution_matches_amplitude_squaring():
-    # Oracle: push exact probabilities through the walk stencil.
-    probs = {0: Fraction(1)}
-    for _ in range(8):
-        new = {}
-        for k, p in probs.items():
-            new[k - 1] = new.get(k - 1, 0) + p / 2
-            new[k + 1] = new.get(k + 1, 0) + p / 2
-        probs = new
-    assert classical_distribution(8) == probs
-
-
 def test_shift_conjugacy_exact_case():
     report = shift_conjugacy_check([1, 0, 0, 0, 0, 0, 0, 0])
     assert report.phi == Fraction(1, 2)
@@ -284,18 +260,6 @@ def test_commutator_random_coin():
     report = commutator_check(coin)
     assert report
     assert report.max_deviation < 1e-14
-
-
-def test_mixed_distribution_averages_components():
-    coin = hadamard_coin()
-    e0, e1 = (1, 0), (0, 1)
-    mixed = walk.mixed_distribution([(0.5, e0), (0.5, e1)], coin, 6)
-    state = run_numeric(coin, 6)
-    d0, d1 = distribution(state, e0), distribution(state, e1)
-    for k in mixed:
-        assert mixed[k] == pytest.approx(0.5 * d0[k] + 0.5 * d1[k], abs=1e-12)
-    with pytest.raises(ValueError, match="sum to 1"):
-        walk.mixed_distribution([(0.7, e0)], coin, 2)
 
 
 def test_distribution_rejects_nan():
