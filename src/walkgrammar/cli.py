@@ -1,8 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 on success, 1 on a domain error (single-line diagnostic on
-stderr), 2 on usage errors.  Data output is deterministic: identical
-arguments produce byte-identical output.
+stderr) or a failed check (FAIL on stdout), 2 on usage errors.  Data output
+is deterministic: identical arguments produce byte-identical output.
 
 `walk run` prints each probability rounded to 15 significant digits, in CSV
 and JSON alike, so that rounding noise from the coin entries (1/sqrt(2) is
@@ -36,9 +36,13 @@ def _coin_arguments(parser: argparse.ArgumentParser) -> None:
 
 
 def _output_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--format", choices=("csv", "json"), default="csv")
     parser.add_argument("--out", help="write output to this path instead of stdout")
     parser.add_argument("--quiet", action="store_true", help="suppress non-data messages")
+
+
+def _table_arguments(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--format", choices=("csv", "json"), default="csv")
+    _output_arguments(parser)
 
 
 def _resolve_coin(args) -> quantize.CoinPair:
@@ -73,6 +77,19 @@ def _emit(text: str, args) -> None:
         sys.stdout.write(text)
 
 
+def _emit_table(columns: list[str], rows: list[dict], args, payload=None) -> None:
+    """CSV of `rows` under `columns`, list values joined by +; or JSON of `payload`, default `rows`."""
+    if args.format == "json":
+        text = json.dumps(rows if payload is None else payload, indent=2) + "\n"
+    else:
+        lines = [",".join(columns)]
+        for row in rows:
+            cells = ["+".join(row[c]) if isinstance(row[c], list) else str(row[c]) for c in columns]
+            lines.append(",".join(cells))
+        text = "\n".join(lines) + "\n"
+    _emit(text, args)
+
+
 PROBABILITY_DIGITS = 15
 
 
@@ -81,11 +98,11 @@ def _probability(p: float) -> float:
     return float(format(p, f".{PROBABILITY_DIGITS}g"))
 
 
-def _walk_rows(args) -> tuple[int, list[dict]]:
+def cmd_walk_run(args) -> int:
     coin = _resolve_coin(args)
     psi = _parse_psi(args.psi)
     if args.symbolic:
-        sym = walk.run_symbolic(args.steps, symbolic_max=args.symbolic_max)
+        sym = walk.run_symbolic(args.steps)
     dist = walk.distribution(walk.run_numeric(coin, args.steps), psi)
     rows = []
     for k in sorted(dist):
@@ -93,24 +110,8 @@ def _walk_rows(args) -> tuple[int, list[dict]]:
         if args.symbolic:
             row["words"] = sorted(sym.cell(k))
         rows.append(row)
-    return args.steps, rows
-
-
-def cmd_walk_run(args) -> int:
-    steps, rows = _walk_rows(args)
-    if args.format == "json":
-        payload = {"time": steps, "cells": rows}
-        text = json.dumps(payload, indent=2) + "\n"
-    else:
-        header = "k,probability,words" if args.symbolic else "k,probability"
-        lines = [header]
-        for row in rows:
-            line = f"{row['k']},{row['probability']!r}"
-            if args.symbolic:
-                line += "," + "+".join(row["words"])
-            lines.append(line)
-        text = "\n".join(lines) + "\n"
-    _emit(text, args)
+    columns = ["k", "probability", "words"] if args.symbolic else ["k", "probability"]
+    _emit_table(columns, rows, args, {"time": args.steps, "cells": rows})
     return 0
 
 
@@ -166,14 +167,7 @@ def _word_rows(words) -> list[dict]:
     ]
 
 
-def _emit_word_rows(rows: list[dict], args) -> None:
-    if args.format == "json":
-        text = json.dumps(rows, indent=2) + "\n"
-    else:
-        lines = ["word,index,contraction"]
-        lines += [f"{r['word']},{r['index']},{r['contraction']}" for r in rows]
-        text = "\n".join(lines) + "\n"
-    _emit(text, args)
+WORD_COLUMNS = ["word", "index", "contraction"]
 
 
 def cmd_lang_generate(args) -> int:
@@ -183,7 +177,7 @@ def cmd_lang_generate(args) -> int:
         words = language.words_at_vertex(args.t, args.vertex)
         if args.grammar != "markov":
             words = frozenset(w for w in language.generate(args.t, args.grammar)) & words
-    _emit_word_rows(_word_rows(words), args)
+    _emit_table(WORD_COLUMNS, _word_rows(words), args)
     return 0
 
 
@@ -202,19 +196,13 @@ def cmd_orbits_enumerate(args) -> int:
                 "multiplicity": mult,
             }
         )
-    if args.format == "json":
-        text = json.dumps(rows, indent=2) + "\n"
-    else:
-        lines = ["pattern,index,root,multiplicity"]
-        lines += [f"{r['pattern']},{r['index']},{r['root']},{r['multiplicity']}" for r in rows]
-        text = "\n".join(lines) + "\n"
-    _emit(text, args)
+    _emit_table(["pattern", "index", "root", "multiplicity"], rows, args)
     return 0
 
 
 def cmd_orbits_read(args) -> int:
     pattern = orbits.canonicalize(args.pattern)
-    _emit_word_rows(_word_rows(orbits.read(pattern)), args)
+    _emit_table(WORD_COLUMNS, _word_rows(orbits.read(pattern)), args)
     return 0
 
 
@@ -225,18 +213,13 @@ def cmd_orbits_decompose(args) -> int:
     conserved = sum(
         (Counter(p) for p in pieces), Counter()
     ) == Counter(pattern.letters)
-    reglued = dec.reglue() == pattern
-    if args.format == "json":
-        payload = {
-            "pattern": pattern.letters,
-            "pieces": pieces,
-            "letters_conserved": conserved,
-            "reglue_ok": reglued,
-        }
-        text = json.dumps(payload, indent=2) + "\n"
-    else:
-        text = "\n".join(["piece"] + pieces) + "\n"
-    _emit(text, args)
+    payload = {
+        "pattern": pattern.letters,
+        "pieces": pieces,
+        "letters_conserved": conserved,
+        "reglue_ok": dec.reglue() == pattern,
+    }
+    _emit_table(["piece"], [{"piece": p} for p in pieces], args, payload)
     return 0
 
 
@@ -290,25 +273,18 @@ def cmd_verify_all(args) -> int:
 
 
 def cmd_verify_axiom(args) -> int:
-    def load_table(path):
+    def load(path, table_class):
         if path is None:
             return None
         with open(path, encoding="utf-8") as fh:
-            return coalgebra.CoproductTable.from_json(json.load(fh))
+            return table_class.from_json(json.load(fh))
 
-    def load_counit(path):
-        if path is None:
-            return None
-        with open(path, encoding="utf-8") as fh:
-            return coalgebra.CounitTable.from_json(json.load(fh))
-
-    delta = load_table(args.delta)
     report = coalgebra.verify_axiom(
         args.axiom,
-        delta,
-        load_table(args.delta_tilde),
-        load_counit(args.counit),
-        load_counit(args.left_counit),
+        load(args.delta, coalgebra.CoproductTable),
+        load(args.delta_tilde, coalgebra.CoproductTable),
+        load(args.counit, coalgebra.CounitTable),
+        load(args.left_counit, coalgebra.CounitTable),
     )
     if report.ok:
         print(f"PASS  {args.axiom}")
@@ -336,8 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--steps", type=int, required=True)
     p_run.add_argument("--psi", default="1,0,0,0", help="initial spinor re,im,re,im")
     p_run.add_argument("--symbolic", action="store_true", help="carry the word sets along")
-    p_run.add_argument("--symbolic-max", type=int, default=walk.SYMBOLIC_MAX_DEFAULT)
-    _output_arguments(p_run)
+    _table_arguments(p_run)
     p_run.set_defaults(func=cmd_walk_run)
 
     p_plot = walk_sub.add_parser("plot", help="SVG bar chart of the distribution")
@@ -353,7 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--t", type=int, required=True)
     p_gen.add_argument("--vertex", type=int)
     p_gen.add_argument("--grammar", choices=("markov", "coassoc"), default="markov")
-    _output_arguments(p_gen)
+    _table_arguments(p_gen)
     p_gen.set_defaults(func=cmd_lang_generate)
 
     p_orbits = sub.add_parser("orbits", help="periodic orbits")
@@ -361,15 +336,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_enum = orbits_sub.add_parser("enumerate", help="orbits at time t")
     p_enum.add_argument("--t", type=int, required=True)
     p_enum.add_argument("--vertex", type=int)
-    _output_arguments(p_enum)
+    _table_arguments(p_enum)
     p_enum.set_defaults(func=cmd_orbits_enumerate)
     p_read = orbits_sub.add_parser("read", help="cyclic windows of a pattern")
     p_read.add_argument("--pattern", required=True)
-    _output_arguments(p_read)
+    _table_arguments(p_read)
     p_read.set_defaults(func=cmd_orbits_read)
     p_dec = orbits_sub.add_parser("decompose", help="peel into fundamental orbits")
     p_dec.add_argument("--pattern", required=True)
-    _output_arguments(p_dec)
+    _table_arguments(p_dec)
     p_dec.set_defaults(func=cmd_orbits_decompose)
     p_over = orbits_sub.add_parser("verify", help="run the orbit invariant suite")
     p_over.add_argument("--max-t", type=int, default=11)

@@ -430,24 +430,9 @@ def markov_pair_e() -> tuple[CoproductTable, CoproductTable]:
     return markov_pair(FOUR_LETTERS, arrows)
 
 
-def triangle_coproducts() -> tuple[CoproductTable, CoproductTable]:
-    """Directed-triangle Markov pair on x0, x1, x2 with a grouplike unit."""
-    xs = ("x0", "x1", "x2")
-    alphabet = ("1",) + xs
-    lift = FormalSum.lift
-    delta = {"1": lift("1", "1")}
-    delta_tilde = {"1": lift("1", "1")}
-    for alpha in range(3):
-        delta[xs[alpha]] = lift(xs[alpha], xs[(alpha + 1) % 3])
-        delta_tilde[xs[alpha]] = lift(xs[(alpha - 1) % 3], xs[alpha])
-    return CoproductTable(alphabet, delta), CoproductTable(alphabet, delta_tilde)
-
-
-def flower_coproducts(petals: int = 3) -> tuple[CoproductTable, CoproductTable]:
-    """Flower-graph pair: every petal maps to petal (x) 1 and 1 (x) petal."""
-    if petals < 1:
-        raise ValueError("need at least one petal")
-    names = tuple(f"p{i}" for i in range(1, petals + 1))
+def flower_coproducts() -> tuple[CoproductTable, CoproductTable]:
+    """Three-petal flower pair: every petal maps to petal (x) 1 and 1 (x) petal."""
+    names = ("p1", "p2", "p3")
     alphabet = ("1",) + names
     lift = FormalSum.lift
     delta = {"1": lift("1", "1")}
@@ -458,13 +443,18 @@ def flower_coproducts(petals: int = 3) -> tuple[CoproductTable, CoproductTable]:
     return CoproductTable(alphabet, delta), CoproductTable(alphabet, delta_tilde)
 
 
-def markov_fixtures(max_de_bruijn: int = 5) -> dict[str, tuple[CoproductTable, CoproductTable]]:
-    """Every Markov L-coalgebra pair shipped with the package."""
+def markov_fixtures() -> dict[str, tuple[CoproductTable, CoproductTable]]:
+    """Every Markov L-coalgebra pair shipped with the package.
+
+    The triangle is the directed 3-cycle x0 -> x1 -> x2 -> x0 beside a
+    grouplike unit 1.
+    """
+    triangle = [("1", "1"), ("x0", "x1"), ("x1", "x2"), ("x2", "x0")]
     fixtures = {
         "extension-four-letter": markov_pair_e(),
-        "triangle": triangle_coproducts(),
-        "flower-3": flower_coproducts(3),
+        "triangle": markov_pair(("1", "x0", "x1", "x2"), triangle),
+        "flower-3": flower_coproducts(),
     }
-    for p in range(2, max_de_bruijn + 1):
+    for p in range(2, 6):
         fixtures[f"de-bruijn-{p}"] = de_bruijn_markov_pair(p)
     return fixtures

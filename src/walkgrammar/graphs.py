@@ -5,12 +5,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
 WITNESS_TOL = 1e-12
 EXT_SEP = "|"
+# The largest De Bruijn label count and uniform-matrix size: the extension
+# of the 64-label graph is 262 144 edges, 6 MB of DOT.
+DIMENSION_MAX = 64
 
 
 @dataclass(frozen=True)
@@ -27,8 +30,8 @@ class DirectedGraph:
     def build(cls, vertices: Iterable[str], edges: Iterable[tuple[str, str]]) -> "DirectedGraph":
         return cls(frozenset(vertices), frozenset(tuple(e) for e in edges))
 
-    def to_dot(self, name: str = "G") -> str:
-        lines = [f"digraph {name} {{"]
+    def to_dot(self) -> str:
+        lines = ["digraph G {"]
         for v in sorted(self.vertices):
             lines.append(f'    "{v}";')
         for u, v in sorted(self.edges):
@@ -37,22 +40,24 @@ class DirectedGraph:
         return "\n".join(lines) + "\n"
 
 
+def _require_dimension(name: str, n: int) -> None:
+    """Refuse a size below 2 or past DIMENSION_MAX before its n^2 entries are built."""
+    if n < 2:
+        raise ValueError(f"need {name} >= 2, got {n}")
+    if n > DIMENSION_MAX:
+        raise ValueError(f"{name} = {n} exceeds the dimension cap {DIMENSION_MAX}")
+
+
 def de_bruijn_labels(p: int) -> tuple[str, ...]:
-    if p < 2:
-        raise ValueError(f"need p >= 2, got {p}")
+    _require_dimension("p", p)
     if p == 2:
         return ("P", "Q")
     return tuple(str(i) for i in range(1, p + 1))
 
 
-def de_bruijn_graph(p: int, labels: Sequence[str] | None = None) -> DirectedGraph:
+def de_bruijn_graph(p: int) -> DirectedGraph:
     """Complete directed graph on p vertices with a loop at each vertex."""
-    if labels is None:
-        labels = de_bruijn_labels(p)
-    elif len(labels) != p:
-        raise ValueError(f"expected {p} labels, got {len(labels)}")
-    elif p < 2:
-        raise ValueError(f"need p >= 2, got {p}")
+    labels = de_bruijn_labels(p)
     return DirectedGraph.build(labels, [(u, v) for u in labels for v in labels])
 
 
@@ -123,8 +128,7 @@ def _fraction_str(x: Fraction) -> str:
 
 def bernoulli_matrix(n: int) -> StochMatrix:
     """The n-by-n matrix with every entry 1/n (uniform full shift)."""
-    if n < 2:
-        raise ValueError(f"need n >= 2, got {n}")
+    _require_dimension("n", n)
     row = tuple(Fraction(1, n) for _ in range(n))
     return StochMatrix(tuple(row for _ in range(n)))
 
@@ -201,10 +205,10 @@ def verify_x_relations(b: StochMatrix) -> XRelationsReport:
     return XRelationsReport(not failures, tuple(failures))
 
 
-def is_unistochastic(b: StochMatrix, u: np.ndarray, tol: float = WITNESS_TOL) -> bool:
-    """Witness check: does B_ij = |U_ij|^2 hold within tol for this U?"""
+def is_unistochastic(b: StochMatrix, u: np.ndarray) -> bool:
+    """Witness check: does B_ij = |U_ij|^2 hold within WITNESS_TOL for this U?"""
     u = np.asarray(u, dtype=complex)
     if u.shape != (b.dimension, b.dimension):
         raise ValueError("witness has the wrong shape")
     target = np.array([[float(x) for x in row] for row in b.rows])
-    return bool(np.max(np.abs(np.abs(u) ** 2 - target)) <= tol)
+    return bool(np.max(np.abs(np.abs(u) ** 2 - target)) <= WITNESS_TOL)

@@ -19,12 +19,14 @@ import numpy as np
 MATRIX_TOL = 1e-12
 
 
-def assert_unitary(u: np.ndarray, tol: float = MATRIX_TOL) -> np.ndarray:
+def assert_unitary(u: np.ndarray) -> np.ndarray:
     u = np.asarray(u, dtype=complex)
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {u.shape}")
+    if not np.all(np.isfinite(u)):
+        raise ValueError("matrix is not unitary (non-finite entry)")
     defect = np.max(np.abs(u @ u.conj().T - np.eye(u.shape[0])))
-    if not defect <= tol:
+    if not defect <= MATRIX_TOL:
         raise ValueError(f"matrix is not unitary (defect {defect:.3e})")
     return u
 
@@ -54,14 +56,14 @@ def random_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
     return q * (d / np.abs(d))
 
 
-def row_split(u: np.ndarray, tol: float = MATRIX_TOL) -> list[np.ndarray]:
+def row_split(u: np.ndarray) -> list[np.ndarray]:
     """Split a unitary into one matrix per row: Q_h keeps row h, zeroes the rest.
 
     The split partitions entries, so sum_h Q_h = U exactly, and pointwise
     |(Q_h)_ij|^2 reproduces the row decomposition of the induced
     bistochastic matrix B_ij = |U_ij|^2.
     """
-    u = assert_unitary(u, tol)
+    u = assert_unitary(u)
     rows = np.arange(u.shape[0])[:, None]
     return [np.where(rows == h, u, 0) for h in range(u.shape[0])]
 
@@ -84,8 +86,8 @@ class CoinPair:
             raise ValueError("P must have a zero second row and Q a zero first row")
 
     @classmethod
-    def from_unitary(cls, u: np.ndarray, tol: float = MATRIX_TOL) -> "CoinPair":
-        parts = row_split(u, tol)
+    def from_unitary(cls, u: np.ndarray) -> "CoinPair":
+        parts = row_split(u)
         if len(parts) != 2:
             raise ValueError("coin unitaries are 2x2")
         return cls(*parts)
@@ -114,7 +116,7 @@ class ChannelReport:
         return self.ok
 
 
-def verify_channel(entries, tol: float = MATRIX_TOL) -> ChannelReport:
+def verify_channel(entries) -> ChannelReport:
     """Kraus-family checks: sum QQ+ = I, sum Q+Q = I, and Q_l Q_h+ = 0 for l != h."""
     mats = [np.asarray(e, dtype=complex) for e in entries]
     if not mats:
@@ -129,9 +131,9 @@ def verify_channel(entries, tol: float = MATRIX_TOL) -> ChannelReport:
             if l != h:
                 dev_orth = max(dev_orth, float(np.max(np.abs(ml @ mh.conj().T))))
     return ChannelReport(
-        right_identity=bool(dev_right <= tol),
-        left_identity=bool(dev_left <= tol),
-        orthogonal=bool(dev_orth <= tol),
+        right_identity=bool(dev_right <= MATRIX_TOL),
+        left_identity=bool(dev_left <= MATRIX_TOL),
+        orthogonal=bool(dev_orth <= MATRIX_TOL),
         max_deviation=float(max(dev_right, dev_left, dev_orth)),
     )
 
@@ -146,9 +148,9 @@ class PQRelationsReport:
         return self.ok
 
 
-def verify_pq_relations(u: np.ndarray, tol: float = MATRIX_TOL) -> PQRelationsReport:
+def verify_pq_relations(u: np.ndarray) -> PQRelationsReport:
     """Check P^2 = u11 P, Q^2 = u22 Q, PQP = u12 u21 P, QPQ = u12 u21 Q."""
-    coin = CoinPair.from_unitary(u, tol)
+    coin = CoinPair.from_unitary(u)
     p, q = coin.P, coin.Q
     u = coin.unitary
     cross = u[0, 1] * u[1, 0]
@@ -159,18 +161,16 @@ def verify_pq_relations(u: np.ndarray, tol: float = MATRIX_TOL) -> PQRelationsRe
         "QPQ = u12 u21 Q": float(np.max(np.abs(q @ p @ q - cross * q))),
     }
     worst = max(deviations.values())
-    return PQRelationsReport(ok=bool(worst <= tol), max_deviation=worst, deviations=deviations)
+    return PQRelationsReport(ok=bool(worst <= MATRIX_TOL), max_deviation=worst, deviations=deviations)
 
 
-def jones_generators(
-    u: np.ndarray, tol: float = MATRIX_TOL
-) -> tuple[np.ndarray, np.ndarray, complex]:
+def jones_generators(u: np.ndarray) -> tuple[np.ndarray, np.ndarray, complex]:
     """Normalised idempotents e1 = P/u11, e2 = Q/u22 and the Jones parameter.
 
     lambda = u12 u21 / (u11 u22); the relations e1^2 = e1, e2^2 = e2,
-    e1 e2 e1 = lambda e1 and e2 e1 e2 = lambda e2 are verified within tol.
+    e1 e2 e1 = lambda e1 and e2 e1 e2 = lambda e2 are verified within MATRIX_TOL.
     """
-    coin = CoinPair.from_unitary(u, tol)
+    coin = CoinPair.from_unitary(u)
     w = coin.unitary
     if w[0, 0] == 0 or w[1, 1] == 0:
         raise ValueError("Jones generators undefined")
@@ -184,7 +184,7 @@ def jones_generators(
         np.max(np.abs(e2 @ e1 @ e2 - lam * e2)),
     )
     worst = float(max(checks))
-    if worst > tol:
+    if worst > MATRIX_TOL:
         raise ValueError(f"Jones relations violated (deviation {worst:.3e})")
     return e1, e2, lam
 

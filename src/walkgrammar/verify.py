@@ -64,7 +64,7 @@ def closed_walks(t: int) -> frozenset[orbits.Pattern]:
     return frozenset(out)
 
 
-def coalgebra_checks(max_n: int = 5) -> list[CheckResult]:
+def coalgebra_checks() -> list[CheckResult]:
     results = []
     delta_e = coalgebra.coproduct_e()
     eps_e = coalgebra.counit_e()
@@ -92,14 +92,14 @@ def coalgebra_checks(max_n: int = 5) -> list[CheckResult]:
             f"witness {report.witness}",
         )
     )
-    for name, (delta, delta_tilde) in sorted(coalgebra.markov_fixtures(max_n).items()):
+    for name, (delta, delta_tilde) in sorted(coalgebra.markov_fixtures().items()):
         results.append(
             CheckResult(
                 f"breaking equation: {name}",
                 bool(coalgebra.verify_axiom("breaking-equation", delta, delta_tilde)),
             )
         )
-    for n in range(2, max_n + 1):
+    for n in range(2, 6):
         delta, delta_tilde = coalgebra.de_bruijn_markov_pair(n)
         ok = all(
             bool(coalgebra.verify_axiom(axiom, delta, delta_tilde))
@@ -199,15 +199,25 @@ def language_checks(max_t: int) -> list[CheckResult]:
     return results
 
 
+def _grouped(sets: dict[int, frozenset], index) -> dict[int, dict[int, list]]:
+    """Per time t, the members of sets[t] grouped by their index."""
+    by_index: dict[int, dict[int, list]] = {}
+    for t, members in sets.items():
+        groups = by_index[t] = {}
+        for x in members:
+            groups.setdefault(index(x), []).append(x)
+    return by_index
+
+
 def orbit_checks(max_t: int) -> list[CheckResult]:
+    if max_t < 3:
+        raise ValueError("need max_t >= 3")
     walk.require_word_time(max_t, "max_t")
     results = []
     at_time = {t: orbits.orbits_at_time(t) for t in range(2, max_t + 1)}
-    by_index: dict[int, dict[int, list[orbits.Pattern]]] = {}
-    for t, pats in at_time.items():
-        groups = by_index[t] = {}
-        for p in pats:
-            groups.setdefault(orbits.orbit_index(p), []).append(p)
+    by_index = _grouped(at_time, orbits.orbit_index)
+    words = {t: language.generate(t) for t in range(2, max_t + 1)}
+    words_by_index = _grouped(words, language.word_index)
 
     ok = all(pats == closed_walks(t) for t, pats in at_time.items())
     results.append(CheckResult("growth reaches exactly the closed walks", ok))
@@ -216,15 +226,11 @@ def orbit_checks(max_t: int) -> list[CheckResult]:
     for t in range(3, max_t + 1):
         for k in range(-t, t + 1, 2):
             read_union = set().union(*(orbits.read(p) for p in by_index[t].get(k, ())))
-            if read_union != language.words_at_vertex(t, k):
+            if read_union != set(words_by_index[t].get(k, ())):
                 ok = False
     results.append(CheckResult("orbit readings cover the words at every vertex", ok))
 
-    ok = all(
-        w in orbits.read(orbits.complete(w))
-        for t in range(2, max_t + 1)
-        for w in language.generate(t)
-    )
+    ok = all(w in orbits.read(orbits.complete(w)) for ws in words.values() for w in ws)
     results.append(CheckResult("completion/reading duality", ok))
 
     ok = all(
@@ -253,12 +259,12 @@ def orbit_checks(max_t: int) -> list[CheckResult]:
     return results
 
 
-def quantize_checks(seed: int = 11, samples: int = 40) -> list[CheckResult]:
+def quantize_checks() -> list[CheckResult]:
     results = []
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(11)
     worst = 0.0
     ok = True
-    for i in range(samples):
+    for i in range(40):
         u = quantize.random_unitary(2 + i % 4, rng)
         report = quantize.verify_channel(quantize.row_split(u))
         worst = max(worst, report.max_deviation)
@@ -294,7 +300,7 @@ def quantize_checks(seed: int = 11, samples: int = 40) -> list[CheckResult]:
     return results
 
 
-def run_all(max_t: int = 8) -> list[CheckResult]:
+def run_all(max_t: int) -> list[CheckResult]:
     if max_t < 3:
         raise ValueError("need max_t >= 3")
     walk.require_word_time(max_t, "max_t")

@@ -34,7 +34,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -102,14 +102,10 @@ def step_symbolic(s: SymbolicState) -> SymbolicState:
     return SymbolicState(n + 1, tuple(cells))
 
 
-def run_symbolic(steps: int, symbolic_max: int = SYMBOLIC_MAX_DEFAULT) -> SymbolicState:
+def run_symbolic(steps: int) -> SymbolicState:
     if steps < 0:
         raise ValueError("steps must be >= 0")
-    if steps > symbolic_max:
-        raise ValueError(
-            f"symbolic walk capped at {symbolic_max} steps (2^n words); "
-            "raise symbolic_max to override"
-        )
+    require_word_time(steps, "steps")
     s = initial_symbolic()
     for _ in range(steps):
         s = step_symbolic(s)
@@ -273,10 +269,6 @@ def dispersion_up(x: FormalSum) -> FormalSum:
     return FormalSum(((k + 1, w + "Q"), c) for (k, w), c in x)
 
 
-def _default_commutator_words(max_len: int = 5) -> list[str]:
-    return ["".join(p) for n in range(max_len + 1) for p in itertools.product("PQ", repeat=n)]
-
-
 @dataclass(frozen=True)
 class CommutatorReport:
     symbolic_ok: bool
@@ -288,21 +280,16 @@ class CommutatorReport:
         return self.symbolic_ok and self.numeric_ok
 
 
-def commutator_check(
-    coin: CoinPair,
-    words: Iterable[str] | None = None,
-    tol: float = COMMUTATOR_TOL,
-) -> CommutatorReport:
+def commutator_check(coin: CoinPair) -> CommutatorReport:
     """Verify that the dispersion commutator is right concatenation by QP - PQ.
 
     Operator words are read in application order: the first term applies
     the up operator, then the down operator.  On a basis element e_k (x) W
     both sides equal e_k (x) (W.QP - W.PQ); the numeric variant evaluates
-    the same identity on matrices.
+    the same identity on matrices.  It is checked on the 63 P/Q words of
+    length at most 5.
     """
-    if words is None:
-        words = _default_commutator_words()
-    words = list(words)
+    words = ["".join(p) for n in range(6) for p in itertools.product("PQ", repeat=n)]
     symbolic_ok = True
     max_dev = 0.0
     commutator = coin.Q @ coin.P - coin.P @ coin.Q
@@ -316,4 +303,4 @@ def commutator_check(
         numeric_lhs = (m @ coin.Q) @ coin.P - (m @ coin.P) @ coin.Q
         dev = float(np.max(np.abs(numeric_lhs - m @ commutator)))
         max_dev = max(max_dev, dev)
-    return CommutatorReport(symbolic_ok, max_dev <= tol, max_dev, len(words))
+    return CommutatorReport(symbolic_ok, max_dev <= COMMUTATOR_TOL, max_dev, len(words))

@@ -1,13 +1,19 @@
+import contextlib
+import io
 import json
 import os
 import resource
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import walkgrammar
+from walkgrammar import coalgebra, walk
 from walkgrammar.cli import main
 
 from helpers import spinor_walk_distribution
@@ -74,9 +80,7 @@ def test_walk_run_deterministic(capsys):
 
 
 def test_walk_run_symbolic_cap_is_a_domain_error(capsys):
-    code, _, err = run_cli(
-        capsys, "walk", "run", "--steps", "9", "--symbolic", "--symbolic-max", "8"
-    )
+    code, _, err = run_cli(capsys, "walk", "run", "--steps", "25", "--symbolic")
     assert code == 1
     assert err.startswith("error:")
 
@@ -140,6 +144,48 @@ def test_orbits_verify(capsys):
     code, out, _ = run_cli(capsys, "orbits", "verify", "--max-t", "6")
     assert code == 0
     assert "FAIL" not in out
+
+
+def test_orbits_verify_below_time_three_is_a_domain_error(capsys):
+    # At max_t 2 the readings check has no time to run over.
+    assert_one_line_error(*run_cli(capsys, "orbits", "verify", "--max-t", "2"))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("lang", "generate", "--t", "4", "--vertex", "0"),
+        ("orbits", "enumerate", "--t", "5"),
+        ("orbits", "read", "--pattern", "abddc"),
+    ],
+)
+def test_table_csv_and_json_carry_the_same_rows(capsys, argv):
+    _, csv_text, _ = run_cli(capsys, *argv)
+    _, json_text, _ = run_cli(capsys, *argv, "--format", "json")
+    header, *lines = csv_text.splitlines()
+    rows = json.loads(json_text)
+    assert lines and [",".join(str(r[c]) for c in header.split(",")) for r in rows] == lines
+
+
+def test_orbits_decompose_csv_lists_the_pieces(capsys):
+    code, out, _ = run_cli(capsys, "orbits", "decompose", "--pattern", "abddc")
+    assert code == 0
+    header, *pieces = out.splitlines()
+    assert header == "piece" and sorted(pieces) == ["abdc", "d"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("walk", "plot", "--steps", "5", "--format", "json"),
+        ("graph", "export", "--de-bruijn", "2", "--format", "csv"),
+        ("walk", "run", "--steps", "5", "--symbolic", "--symbolic-max", "30"),
+    ],
+)
+def test_options_a_command_does_not_read_are_usage_errors(argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
 
 
 def test_graph_export_dot(capsys):
@@ -284,6 +330,18 @@ def test_coin_file_with_nan_entry_is_rejected(capsys, tmp_path):
     )
 
 
+def test_coin_file_with_infinite_entry_is_one_line_error(tmp_path):
+    # In a console run a numpy warning would add stderr lines before the error.
+    coin_file = tmp_path / "coin.json"
+    coin_file.write_text('{"re": [[1e999, 0], [0, 1]], "im": [[0, 0], [0, 0]]}')
+    src = str(Path(walkgrammar.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-m", "walkgrammar.cli", "coin", "check", "--coin-file", str(coin_file)],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=60,
+    )
+    assert_one_line_error(done.returncode, done.stdout, done.stderr)
+
+
 def test_coin_file_of_wrong_shape_is_rejected(capsys, tmp_path):
     coin_file = tmp_path / "coin.json"
     coin_file.write_text("[1, 2]")
@@ -384,3 +442,89 @@ def test_verify_axiom_rejects_a_second_table_on_another_alphabet(capsys, tmp_pat
     assert err == "error: coproduct tables must share one alphabet\n"
     code, out, _ = run_cli(capsys, *argv, "--delta-tilde", str(delta_file))
     assert code == 0 and out == f"PASS  {axiom}\n"
+
+
+# Exit-code contract under hostile arguments: 0, 1 or 2; an exit of 1 is one
+# `error:` line on stderr; never a traceback.  A warning would add stderr
+# lines in a console run, so warnings are raised as errors here.  Valid sizes
+# stay small enough to run in well under a second (`--max-t 12` runs the
+# verify suites for ~2 s).
+BAD_VALUES = ["x", "", "nan", "inf", "-1", str(walk.SYMBOLIC_MAX_DEFAULT + 1), str(10**9)]
+SIZE = st.sampled_from(BAD_VALUES + [str(n) for n in range(13)])
+MAX_T = st.sampled_from(BAD_VALUES + [str(n) for n in range(9)])
+ANGLE = st.sampled_from(BAD_VALUES + ["0", "0.7"])
+PSI = st.sampled_from(BAD_VALUES + ["1,0", "nan,0,0,0", "inf,0,0,0", "2,0,0,0", "0.6,0,0,0.8"])
+PATTERN = st.sampled_from(BAD_VALUES + ["a", "ab", "abc", "abddc"])
+
+FUZZ_FILES = {
+    "truncated.json": "{",
+    "list.json": "[1, 2]",
+    "ragged-coin.json": '{"re": [[1, 0], [0]], "im": [[0, 0], [0, 0]]}',
+    "scalar-coin.json": '{"re": 5, "im": 5}',
+    "nan-coin.json": '{"re": [[NaN, 0], [0, 1]], "im": [[0, 0], [0, 0]]}',
+    "infinite-coin.json": '{"re": [[1e999, 0], [0, 1]], "im": [[0, 0], [0, 0]]}',
+    "row-coin.json": '{"re": [[1, 0, 0]], "im": [[0, 0, 0]]}',
+    "coin-3x3.json": '{"re": [[1, 0, 0], [0, 1, 0], [0, 0, 1]], "im": [[0, 0, 0], [0, 0, 0], [0, 0, 0]]}',
+    "identity-coin.json": '{"re": [[1, 0], [0, 1]], "im": [[0, 0], [0, 0]]}',
+    "float-coefficient.json": '{"alphabet": ["a"], "rules": {"a": [["a", "a", 1.5]]}}',
+    "zero-denominator.json": '{"alphabet": ["a"], "rules": {"a": [["a", "a", "1/0"]]}}',
+    "partial-table.json": '{"alphabet": ["a", "b"], "rules": {"a": [["a", "a", 1]]}}',
+    "coproduct-e.json": json.dumps(coalgebra.coproduct_e().to_json()),
+    "counit-text-value.json": '{"values": {"a": "x"}}',
+    "counit-e.json": json.dumps(coalgebra.counit_e().to_json()),
+    "missing.json": None,
+}
+FILE = st.sampled_from(sorted(FUZZ_FILES))
+
+
+def _command(*parts):
+    return st.tuples(*(st.just(p) if isinstance(p, str) else p for p in parts))
+
+
+FUZZ_ARGV = st.one_of(
+    _command("walk", st.sampled_from(["run", "plot"]), "--steps", SIZE),
+    _command("walk", "run", "--symbolic", "--steps", SIZE, "--format", st.sampled_from(["json", "x"])),
+    _command("walk", "run", "--steps", "3", "--coin", "custom", "--theta", ANGLE, "--phi2", ANGLE),
+    _command("walk", "run", "--steps", "3", "--psi", PSI),
+    _command("walk", st.sampled_from(["run", "plot"]), "--steps", "3", "--coin-file", FILE),
+    _command("coin", "check", "--coin-file", FILE),
+    _command("coin", "check", "--coin", "custom", "--theta", ANGLE),
+    _command("lang", "generate", "--t", SIZE, "--vertex", SIZE),
+    _command("lang", "generate", "--t", SIZE, "--grammar", "coassoc"),
+    _command("orbits", "enumerate", "--t", SIZE, "--vertex", SIZE),
+    _command("orbits", st.sampled_from(["read", "decompose"]), "--pattern", PATTERN),
+    _command("orbits", "verify", "--max-t", MAX_T),
+    _command("verify", "all", "--max-t", MAX_T),
+    _command("graph", "export", st.sampled_from(["--de-bruijn", "--bernoulli"]), SIZE),
+    _command("graph", "export", "--extension", "--de-bruijn", SIZE),
+    _command(
+        "verify", "axiom", "--axiom", st.sampled_from(coalgebra.AXIOMS), "--delta", FILE,
+        "--delta-tilde", FILE, "--counit", FILE,
+    ),
+)
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    for name, text in FUZZ_FILES.items():
+        if text is not None:
+            (root / name).write_text(text)
+    return root
+
+
+@settings(max_examples=60, deadline=None)
+@given(argv=FUZZ_ARGV)
+def test_cli_exit_codes_under_hostile_arguments(fuzz_dir, argv):
+    argv = [str(fuzz_dir / a) if a in FUZZ_FILES else a for a in argv]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 1, 2), argv
+    if code == 1:
+        assert err.getvalue().startswith("error:") and err.getvalue().count("\n") == 1, argv
+    assert "Traceback" not in out.getvalue() + err.getvalue()

@@ -165,6 +165,15 @@ def test_breaking_equation_for_all_markov_fixtures():
         assert verify_axiom("breaking-equation", delta, delta_tilde), name
 
 
+def test_triangle_fixture_is_the_three_cycle_beside_a_grouplike_unit():
+    delta, delta_tilde = coalgebra.markov_fixtures()["triangle"]
+    lift = FormalSum.lift
+    xs = ("x0", "x1", "x2")
+    assert delta.alphabet == delta_tilde.alphabet == ("1",) + xs
+    assert delta.rules == {"1": lift("1", "1")} | {x: lift(x, xs[(i + 1) % 3]) for i, x in enumerate(xs)}
+    assert delta_tilde.rules == {"1": lift("1", "1")} | {x: lift(xs[i - 1], x) for i, x in enumerate(xs)}
+
+
 def test_degenerate_pair_satisfies_breaking_equation():
     delta = coalgebra.coproduct_e()
     assert verify_axiom("breaking-equation", delta, delta)

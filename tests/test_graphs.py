@@ -164,3 +164,10 @@ def test_dot_export():
 def test_csv_uses_exact_fraction_strings():
     assert bernoulli_matrix(3).to_csv() == "1/3,1/3,1/3\n1/3,1/3,1/3\n1/3,1/3,1/3\n"
     assert regular_system_matrix().to_csv() == "0,0,1\n1,0,0\n0,1,0\n"
+
+
+def test_sizes_past_the_dimension_cap_are_refused():
+    assert len(de_bruijn_graph(graphs.DIMENSION_MAX).vertices) == graphs.DIMENSION_MAX
+    for build in (de_bruijn_graph, bernoulli_matrix):
+        with pytest.raises(ValueError, match="dimension cap"):
+            build(graphs.DIMENSION_MAX + 1)

@@ -1,4 +1,4 @@
-"""Source rules: invariants must survive `python -O`, and public names have callers.
+"""Source rules: invariants survive `python -O`, public names have callers, defaults vary.
 
 `python -O` strips `assert` statements and folds `__debug__` to False, so a
 check written either way silently disappears.  Every module of the package
@@ -6,9 +6,13 @@ raises explicitly instead.
 
 A public module-level function or class that no module of the package names
 is reachable only from tests; it either becomes a `verify` check or goes.
+
+A defaulted parameter that no call in the package passes only ever takes its
+default; it becomes the constant it always was.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -61,3 +65,58 @@ def test_every_public_name_has_a_caller():
         and not any(ref == stmt.name and owner != stmt.name for ref, owner in references)
     ]
     assert not orphans, f"public names with no caller in the package: {orphans}"
+
+
+# The console entry point: tests and perfbench pass argv, the package does not.
+ENTRY_POINTS = {("cli.py", "main")}
+
+
+def _defaulted_parameters(tree: ast.Module):
+    """(function, index, name) per defaulted parameter; index counts positions after self/cls."""
+    methods = {id(f) for c in ast.walk(tree) if isinstance(c, ast.ClassDef) for f in c.body}
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.FunctionDef) or re.fullmatch(r"__\w+__", node.name):
+            continue
+        positional = node.args.posonlyargs + node.args.args
+        static = any(getattr(d, "id", None) == "staticmethod" for d in node.decorator_list)
+        if id(node) in methods and not static:
+            positional = positional[1:]
+        first_default = len(positional) - len(node.args.defaults)
+        for index, arg in enumerate(positional[first_default:], start=first_default):
+            yield node.name, index, arg.arg
+        for arg, default in zip(node.args.kwonlyargs, node.args.kw_defaults):
+            if default is not None:
+                yield node.name, None, arg.arg
+
+
+def _passed_arguments(tree: ast.Module):
+    """(callee name, positional count, keyword names) per call; a splat passes everything."""
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+        splat = any(isinstance(a, ast.Starred) for a in node.args)
+        keywords = {k.arg for k in node.keywords}
+        yield name, float("inf") if splat else len(node.args), keywords
+
+
+def unpassed_defaults(paths) -> list[str]:
+    trees = {p.name: ast.parse(p.read_text(encoding="utf-8")) for p in paths if p.name != "__init__.py"}
+    calls = [c for tree in trees.values() for c in _passed_arguments(tree)]
+    return [
+        f"{module}:{function}({param})"
+        for module, tree in trees.items()
+        for function, index, param in _defaulted_parameters(tree)
+        if (module, function) not in ENTRY_POINTS
+        and not any(
+            name == function
+            and (param in keywords or None in keywords or (index is not None and count > index))
+            for name, count, keywords in calls
+        )
+    ]
+
+
+def test_every_defaulted_parameter_is_passed_somewhere():
+    unpassed = unpassed_defaults(MODULES)
+    assert not unpassed, f"defaulted parameters that only ever take their default: {unpassed}"

@@ -85,9 +85,8 @@ def test_off_lattice_cells_are_empty():
 
 
 def test_symbolic_cap():
-    with pytest.raises(ValueError, match="capped"):
-        run_symbolic(5, symbolic_max=4)
-    assert run_symbolic(5, symbolic_max=5).time == 5
+    with pytest.raises(ValueError, match="word-set cap"):
+        run_symbolic(25)
 
 
 def test_step_numeric_first_step():
