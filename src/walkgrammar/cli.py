@@ -108,7 +108,7 @@ def cmd_walk_run(args) -> int:
     for k in sorted(dist):
         row = {"k": k, "probability": _probability(dist[k])}
         if args.symbolic:
-            row["words"] = sorted(sym.cell(k))
+            row["words"] = list(sym.cell(k))
         rows.append(row)
     columns = ["k", "probability", "words"] if args.symbolic else ["k", "probability"]
     _emit_table(columns, rows, args, {"time": args.steps, "cells": rows})
@@ -263,8 +263,8 @@ def cmd_coin_check(args) -> int:
     try:
         _, _, lam = quantize.jones_generators(u)
         print(f"jones parameter: {lam.real!r}{lam.imag:+}j")
-    except ValueError:
-        print("jones parameter: undefined (zero diagonal entry)")
+    except ValueError as exc:
+        print(f"jones parameter: {str(exc).removeprefix('Jones generators ')}")
     return 0 if channel.ok and relations.ok else 1
 
 

@@ -14,6 +14,8 @@ letter words of length t - 1.
 
 from __future__ import annotations
 
+import itertools
+import re
 from dataclasses import dataclass
 
 from . import coalgebra
@@ -27,6 +29,11 @@ INDEX_PAIRS = {
     letter: tuple(INDEX[x] for x in edge.split("|")) for edge, letter in coalgebra.LETTER_OF.items()
 }
 PAIR_TO_LETTER = {pair: letter for letter, pair in INDEX_PAIRS.items()}
+# The inverse of contraction, one window at a time: "PQ" -> b, and so on.
+_WINDOW_LETTER = {SYMBOL[i] + SYMBOL[j]: letter for (i, j), letter in PAIR_TO_LETTER.items()}
+# Each letter's second index as a P/Q symbol, for str.translate.
+_SECOND_SYMBOL = str.maketrans({x: SYMBOL[pair[1]] for x, pair in INDEX_PAIRS.items()})
+_ENDS_IN_P = "".join(x for x, pair in INDEX_PAIRS.items() if pair[1] == INDEX["P"])
 
 
 def _images(table: CoproductTable) -> dict[str, tuple[str, ...]]:
@@ -45,30 +52,35 @@ COASSOC_RULES = _images(GRAMMAR_TABLES["coassoc"])
 # index is y's first.
 SUCCESSORS = {x: "".join(w[1] for w in images) for x, images in _images(_MARKOV).items()}
 PREDECESSORS = {y: "".join(w[0] for w in images) for y, images in _images(_MARKOV_IN).items()}
+# A letter outside the alphabet, or a letter followed by a non-successor.  In a
+# word over the alphabet, the leftmost match is the word's first break.
+_FAULT = re.compile("|".join([f"[^{LETTERS}]"] + [f"{x}[^{SUCCESSORS[x]}]" for x in LETTERS]))
 
 
 def require_path_word(w: str) -> str:
     if not w:
         raise ValueError("letter words must be nonempty")
-    bad = set(w) - set(LETTERS)
-    if bad:
-        raise ValueError(f"unknown letters {sorted(bad)} in {w!r}")
-    for i, (x, y) in enumerate(zip(w, w[1:])):
-        if y not in SUCCESSORS[x]:
-            raise ValueError(f"{w!r} breaks at position {i}: {x!r} does not compose with {y!r}")
+    fault = _FAULT.search(w)
+    if fault:
+        bad = set(w) - set(LETTERS)
+        if bad:
+            raise ValueError(f"unknown letters {sorted(bad)} in {w!r}")
+        x, y = fault.group()
+        raise ValueError(f"{w!r} breaks at position {fault.start()}: {x!r} does not compose with {y!r}")
     return w
 
 
 def contract(w: str) -> str:
     """Collapse overlapping index pairs into the underlying P/Q word."""
     require_path_word(w)
-    return SYMBOL[INDEX_PAIRS[w[0]][0]] + "".join(SYMBOL[INDEX_PAIRS[x][1]] for x in w)
+    return SYMBOL[INDEX_PAIRS[w[0]][0]] + w.translate(_SECOND_SYMBOL)
 
 
 def word_index(w: str) -> int:
     """Sum of the path's vertex indices; the walk vertex of the word."""
     require_path_word(w)
-    return INDEX_PAIRS[w[0]][0] + sum(INDEX_PAIRS[x][1] for x in w)
+    # Each second index is +1 or -1: len(w) minus twice the count of those that are -1.
+    return INDEX_PAIRS[w[0]][0] + len(w) - 2 * sum(map(w.count, _ENDS_IN_P))
 
 
 def grammar_table(grammar: str) -> CoproductTable:
@@ -97,12 +109,28 @@ def generate(t: int, grammar: str = "markov") -> frozenset[str]:
 
 
 def words_at_vertex(t: int, k: int) -> frozenset[str]:
-    """Time-t words with index k; empty off the parity lattice."""
+    """Time-t words with index k; empty off the parity lattice.
+
+    Contraction is a bijection from the time-t letter words onto the P/Q
+    words of length t: its inverse reads each window of two symbols as a
+    letter (_WINDOW_LETTER).  The index of a letter word is the Q-count
+    minus the P-count of its contraction, so the words at vertex k are the
+    inverses of the P/Q words with (t - k)/2 P's: one word per choice of
+    P positions, C(t, (t - k)/2) in all, and nothing else is built.
+    """
     if t < 2:
         raise ValueError(f"the language starts at t = 2, got t = {t}")
+    require_word_time(t)
     if (t + k) % 2 or abs(k) > t:
         return frozenset()
-    return frozenset(w for w in generate(t) if word_index(w) == k)
+    words = set()
+    for positions in itertools.combinations(range(t), (t - k) // 2):
+        symbols = ["Q"] * t
+        for i in positions:
+            symbols[i] = "P"
+        m = "".join(symbols)
+        words.add("".join(map(_WINDOW_LETTER.__getitem__, map(str.__add__, m, m[1:]))))
+    return frozenset(words)
 
 
 LEMMAS = (

@@ -27,7 +27,16 @@ from .walk import require_word_time
 
 
 def _least_rotation(s: str) -> str:
-    return min(s[i:] + s[:i] for i in range(len(s)))
+    """Least rotation; only a rotation that starts at the least letter can be it."""
+    n, doubled, least = len(s), s + s, min(s)
+    best = s
+    i = s.find(least)
+    while i != -1:
+        rotation = doubled[i : i + n]
+        if rotation < best:
+            best = rotation
+        i = s.find(least, i + 1)
+    return best
 
 
 @dataclass(frozen=True, order=True)
@@ -91,13 +100,14 @@ def complete(w: str) -> Pattern:
 
 
 def grow(p: Pattern) -> frozenset[Pattern]:
-    """Apply the coassociative coproduct at every position, deduplicated."""
+    """Apply the coassociative coproduct at every position, deduplicated.
+
+    Each distinct candidate is rotated once and each distinct rotation
+    becomes one Pattern, which rechecks that it is a closed path.
+    """
     s = p.letters
-    out = set()
-    for i in range(len(s)):
-        for split in COASSOC_RULES[s[i]]:
-            out.add(canonicalize(s[:i] + split + s[i + 1 :]))
-    return frozenset(out)
+    candidates = {s[:i] + split + s[i + 1 :] for i, x in enumerate(s) for split in COASSOC_RULES[x]}
+    return frozenset(map(Pattern, {_least_rotation(c) for c in candidates}))
 
 
 def orbits_at_time(t: int) -> frozenset[Pattern]:

@@ -11,6 +11,7 @@ where juxtaposition is the ordinary matrix product.
 
 from __future__ import annotations
 
+import cmath
 import json
 from dataclasses import dataclass
 
@@ -154,38 +155,40 @@ def verify_pq_relations(u: np.ndarray) -> PQRelationsReport:
     p, q = coin.P, coin.Q
     u = coin.unitary
     cross = u[0, 1] * u[1, 0]
-    deviations = {
-        "P^2 = u11 P": float(np.max(np.abs(p @ p - u[0, 0] * p))),
-        "Q^2 = u22 Q": float(np.max(np.abs(q @ q - u[1, 1] * q))),
-        "PQP = u12 u21 P": float(np.max(np.abs(p @ q @ p - cross * p))),
-        "QPQ = u12 u21 Q": float(np.max(np.abs(q @ p @ q - cross * q))),
-    }
-    worst = max(deviations.values())
-    return PQRelationsReport(ok=bool(worst <= MATRIX_TOL), max_deviation=worst, deviations=deviations)
+    with np.errstate(all="ignore"):
+        deviations = {
+            "P^2 = u11 P": float(np.max(np.abs(p @ p - u[0, 0] * p))),
+            "Q^2 = u22 Q": float(np.max(np.abs(q @ q - u[1, 1] * q))),
+            "PQP = u12 u21 P": float(np.max(np.abs(p @ q @ p - cross * p))),
+            "QPQ = u12 u21 Q": float(np.max(np.abs(q @ p @ q - cross * q))),
+        }
+    # np.max keeps a NaN deviation, which fails the comparison; Python's max may drop it.
+    worst = float(np.max(list(deviations.values())))
+    return PQRelationsReport(ok=worst <= MATRIX_TOL, max_deviation=worst, deviations=deviations)
 
 
 def jones_generators(u: np.ndarray) -> tuple[np.ndarray, np.ndarray, complex]:
     """Normalised idempotents e1 = P/u11, e2 = Q/u22 and the Jones parameter.
 
     lambda = u12 u21 / (u11 u22); the relations e1^2 = e1, e2^2 = e2,
-    e1 e2 e1 = lambda e1 and e2 e1 e2 = lambda e2 are verified within MATRIX_TOL.
+    e1 e2 e1 = lambda e1 and e2 e1 e2 = lambda e2 are verified within MATRIX_TOL;
+    a non-finite lambda or deviation is refused.
     """
     coin = CoinPair.from_unitary(u)
     w = coin.unitary
     if w[0, 0] == 0 or w[1, 1] == 0:
-        raise ValueError("Jones generators undefined")
-    e1 = coin.P / w[0, 0]
-    e2 = coin.Q / w[1, 1]
-    lam = complex(w[0, 1] * w[1, 0] / (w[0, 0] * w[1, 1]))
-    checks = (
-        np.max(np.abs(e1 @ e1 - e1)),
-        np.max(np.abs(e2 @ e2 - e2)),
-        np.max(np.abs(e1 @ e2 @ e1 - lam * e1)),
-        np.max(np.abs(e2 @ e1 @ e2 - lam * e2)),
-    )
-    worst = float(max(checks))
-    if worst > MATRIX_TOL:
-        raise ValueError(f"Jones relations violated (deviation {worst:.3e})")
+        raise ValueError("Jones generators undefined (zero diagonal entry)")
+    # Tiny diagonal entries overflow to inf and NaN; refuse those instead of warning.
+    with np.errstate(all="ignore"):
+        e1 = coin.P / w[0, 0]
+        e2 = coin.Q / w[1, 1]
+        lam = complex(w[0, 1] * w[1, 0] / (w[0, 0] * w[1, 1]))
+        residuals = (e1 @ e1 - e1, e2 @ e2 - e2, e1 @ e2 @ e1 - lam * e1, e2 @ e1 @ e2 - lam * e2)
+        worst = float(np.max(np.abs(residuals)))
+    if not cmath.isfinite(lam):
+        raise ValueError("Jones generators undefined (non-finite Jones parameter)")
+    if not worst <= MATRIX_TOL:
+        raise ValueError(f"Jones generators undefined (relations violated, deviation {worst:.3e})")
     return e1, e2, lam
 
 

@@ -6,8 +6,11 @@ letter on the right:
     cell'(k) = cell(k+1).P + cell(k-1).Q
 
 so the word attached to vertex k at time n has length n and k equals its
-Q-count minus its P-count.  Symbolic states carry the words themselves;
-numeric states carry the summed 2x2 matrix per vertex.
+Q-count minus its P-count.  Symbolic states carry the words themselves,
+each cell a sorted tuple: appending one letter keeps a sorted cell
+sorted, so a new cell merges two sorted runs (ending in P and in Q, so
+disjoint), which `sorted` does in linear time.  Numeric states carry the
+summed 2x2 matrix per vertex.
 
 States store occupied vertices contiguously: index i holds vertex 2i - n.
 
@@ -51,17 +54,17 @@ NUMERIC_MAX_STEPS = 100_000
 
 @dataclass(frozen=True)
 class SymbolicState:
-    """Word sets per occupied vertex at a fixed time."""
+    """Words per occupied vertex at a fixed time, each cell a strictly increasing tuple."""
 
     time: int
-    cells: tuple[frozenset[str], ...]
+    cells: tuple[tuple[str, ...], ...]
 
     def vertices(self) -> range:
         return range(-self.time, self.time + 1, 2)
 
-    def cell(self, k: int) -> frozenset[str]:
+    def cell(self, k: int) -> tuple[str, ...]:
         if (k + self.time) % 2 or abs(k) > self.time:
-            return frozenset()
+            return ()
         return self.cells[(k + self.time) // 2]
 
     def items(self):
@@ -72,7 +75,7 @@ class SymbolicState:
         return sum(len(words) for words in self.cells)
 
     def validate(self) -> None:
-        """Recheck the parity, balance and cell-size laws from scratch."""
+        """Recheck the parity, balance, cell-size and order laws from scratch."""
         n = self.time
         if len(self.cells) != n + 1:
             raise AssertionError("wrong number of cells")
@@ -80,6 +83,8 @@ class SymbolicState:
             expected = math.comb(n, (n - k) // 2)
             if len(words) != expected:
                 raise AssertionError(f"cell {k} holds {len(words)} words, expected {expected}")
+            if any(v >= w for v, w in zip(words, words[1:])):
+                raise AssertionError(f"cell {k} is not strictly increasing")
             for w in words:
                 if len(w) != n or set(w) - {"P", "Q"}:
                     raise AssertionError(f"malformed word {w!r} at vertex {k}")
@@ -88,17 +93,17 @@ class SymbolicState:
 
 
 def initial_symbolic() -> SymbolicState:
-    return SymbolicState(0, (frozenset({""}),))
+    return SymbolicState(0, (("",),))
 
 
 def step_symbolic(s: SymbolicState) -> SymbolicState:
     n = s.time
-    cells: list[frozenset[str]] = []
+    cells: list[tuple[str, ...]] = []
     for j in range(n + 2):
-        from_right = {w + "P" for w in s.cells[j]} if j <= n else set()
-        from_left = {w + "Q" for w in s.cells[j - 1]} if j >= 1 else set()
-        # Disjoint: from_right ends in P, from_left in Q; validate() rechecks cell sizes.
-        cells.append(frozenset(from_right | from_left))
+        from_right = [w + "P" for w in s.cells[j]] if j <= n else []
+        from_left = [w + "Q" for w in s.cells[j - 1]] if j >= 1 else []
+        # validate() rechecks order and sizes.
+        cells.append(tuple(sorted(from_right + from_left)))
     return SymbolicState(n + 1, tuple(cells))
 
 

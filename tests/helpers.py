@@ -37,8 +37,44 @@ def path_words(length: int) -> set[str]:
     return words
 
 
+def path_word_error(word: str) -> str | None:
+    """The package's diagnostic for a non-path word, by a letter-by-letter scan; None for a path."""
+    if not word:
+        return "letter words must be nonempty"
+    bad = set(word) - set(PAIRS)
+    if bad:
+        return f"unknown letters {sorted(bad)} in {word!r}"
+    for i, (x, y) in enumerate(zip(word, word[1:])):
+        if y not in ADJACENT[x]:
+            return f"{word!r} breaks at position {i}: {x!r} does not compose with {y!r}"
+    return None
+
+
 def min_rotation(s: str) -> str:
     return min(s[i:] + s[:i] for i in range(len(s)))
+
+
+def grow_oracle(p):
+    """Growth by its definition: each of the 2 len(p) candidates canonicalised on its own."""
+    from walkgrammar.language import COASSOC_RULES
+    from walkgrammar.orbits import canonicalize
+
+    s = p.letters
+    return frozenset(
+        canonicalize(s[:i] + split + s[i + 1 :]) for i, x in enumerate(s) for split in COASSOC_RULES[x]
+    )
+
+
+def symbolic_cells(steps: int) -> list[frozenset[str]]:
+    """Walk cells by the append recurrence on sets; index i holds vertex 2i - steps."""
+    cells = [frozenset({""})]
+    for n in range(steps):
+        cells = [
+            frozenset({w + "P" for w in (cells[j] if j <= n else ())})
+            | frozenset({w + "Q" for w in (cells[j - 1] if j >= 1 else ())})
+            for j in range(n + 2)
+        ]
+    return cells
 
 
 def closed_cycles(length: int) -> set[str]:

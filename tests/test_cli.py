@@ -389,6 +389,26 @@ def test_word_set_sizes_beyond_the_cap_fail_fast(argv):
     assert "exceeds the word-set cap 24" in done.stderr
 
 
+def test_off_lattice_vertex_past_the_cap_is_a_domain_error(capsys):
+    code, out, err = run_cli(capsys, "lang", "generate", "--t", "1000000000", "--vertex", "1")
+    assert_one_line_error(code, out, err)
+    assert "exceeds the word-set cap 24" in err
+
+
+def test_coin_check_refuses_a_non_finite_jones_parameter(tmp_path):
+    # Diagonal entries of 1e-200: their product underflows to zero, so lambda is inf/NaN.
+    coin_file = tmp_path / "coin.json"
+    coin_file.write_text(json.dumps({"re": [[1e-200, 1], [1, -1e-200]], "im": [[0, 0], [0, 0]]}))
+    src = str(Path(walkgrammar.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-m", "walkgrammar.cli", "coin", "check", "--coin-file", str(coin_file)],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=60,
+    )
+    jones = [line for line in done.stdout.splitlines() if line.startswith("jones parameter:")]
+    assert jones == ["jones parameter: undefined (non-finite Jones parameter)"]
+    assert "RuntimeWarning" not in done.stderr
+
+
 @pytest.mark.parametrize(
     "option, blob",
     [

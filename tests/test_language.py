@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from walkgrammar import language, walk
 from walkgrammar.coalgebra import FormalSum, iterate_rightmost
@@ -11,7 +13,7 @@ from walkgrammar.language import (
 )
 from walkgrammar.walk import run_symbolic
 
-from helpers import contract_oracle, index_oracle, path_words
+from helpers import contract_oracle, index_oracle, path_word_error, path_words
 
 
 def test_contract_examples():
@@ -107,6 +109,39 @@ def test_words_at_vertex_parity_and_errors():
     assert words_at_vertex(3, 9) == frozenset()
     with pytest.raises(ValueError):
         words_at_vertex(1, 1)
+
+
+@pytest.mark.parametrize("t", range(2, 13))
+def test_words_at_vertex_is_the_filter_of_generate(t):
+    by_index = {}
+    for w in generate(t):
+        by_index.setdefault(word_index(w), set()).add(w)
+    for k in range(-t - 1, t + 2):
+        assert words_at_vertex(t, k) == by_index.get(k, set())
+
+
+def test_off_lattice_vertex_past_the_cap_is_refused():
+    with pytest.raises(ValueError, match="word-set cap"):
+        words_at_vertex(10**9, 1)
+
+
+# Late breaks come from a path with a tail appended.
+WORDS = st.one_of(
+    st.text("abcdx", max_size=12),
+    st.tuples(st.sampled_from(sorted(path_words(7))), st.text("abcdx", max_size=3)).map("".join),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(WORDS)
+def test_require_path_word_matches_the_letter_scan(word):
+    expected = path_word_error(word)
+    if expected is None:
+        assert language.require_path_word(word) == word
+    else:
+        with pytest.raises(ValueError) as info:
+            language.require_path_word(word)
+        assert str(info.value) == expected
 
 
 def test_bijection_with_symbolic_walk():

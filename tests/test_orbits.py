@@ -22,7 +22,7 @@ from walkgrammar.orbits import (
     read,
 )
 
-from helpers import closed_cycles, simple_cycles_networkx
+from helpers import closed_cycles, grow_oracle, min_rotation, simple_cycles_networkx
 
 
 def pat(s):
@@ -114,6 +114,18 @@ def test_grow_examples():
     assert grow(pat("aa")) == {pat("aaa"), pat("abc")}
     assert grow(pat("dd")) == {pat("ddd"), pat("bdc")}
     assert grow(pat("abc")) == {pat("aabc"), pat("bcbc"), pat("abdc")}
+
+
+@pytest.mark.parametrize("t", range(2, 11))
+def test_grow_equals_per_candidate_canonicalisation(t):
+    for p in orbits_at_time(t):
+        assert grow(p) == grow_oracle(p)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.text("abcd", min_size=1, max_size=20))
+def test_least_rotation_matches_the_full_scan(s):
+    assert orbits._least_rotation(s) == min_rotation(s)
 
 
 def test_grow_shifts_index_by_one():

@@ -30,7 +30,7 @@ from walkgrammar.walk import (
     unitarity_defect,
 )
 
-from helpers import matmul_walk, spinor_walk_distribution
+from helpers import matmul_walk, spinor_walk_distribution, symbolic_cells
 
 XI_TABLE = {
     0: {0: {""}},
@@ -61,11 +61,11 @@ def test_symbolic_walk_reproduces_table():
 
 def test_first_steps():
     s1 = step_symbolic(initial_symbolic())
-    assert s1.cell(-1) == {"P"} and s1.cell(1) == {"Q"}
+    assert s1.cell(-1) == ("P",) and s1.cell(1) == ("Q",)
     s2 = step_symbolic(s1)
-    assert s2.cell(0) == {"PQ", "QP"}
+    assert s2.cell(0) == ("PQ", "QP")
     s4 = step_symbolic(step_symbolic(s2))
-    assert s4.cell(-2) == {"QPPP", "PQPP", "PPQP", "PPPQ"}
+    assert s4.cell(-2) == ("PPPQ", "PPQP", "PQPP", "QPPP")
 
 
 def test_cell_size_and_balance_laws():
@@ -78,10 +78,24 @@ def test_cell_size_and_balance_laws():
         assert len(words) == math.comb(16, (16 - k) // 2)
 
 
+@pytest.mark.parametrize("n", range(15))
+def test_symbolic_cells_are_the_sorted_set_recurrence(n):
+    assert run_symbolic(n).cells == tuple(tuple(sorted(c)) for c in symbolic_cells(n))
+
+
+@pytest.mark.parametrize(
+    "middle", [("QP", "PQ"), ("PQ", "PQ")], ids=["unsorted", "repeated-word"]
+)
+def test_validate_rejects_a_cell_that_is_not_strictly_increasing(middle):
+    state = walk.SymbolicState(2, (("PP",), middle, ("QQ",)))
+    with pytest.raises(AssertionError, match="cell 0 is not strictly increasing"):
+        state.validate()
+
+
 def test_off_lattice_cells_are_empty():
     state = run_symbolic(3)
-    assert state.cell(0) == frozenset()
-    assert state.cell(5) == frozenset()
+    assert state.cell(0) == ()
+    assert state.cell(5) == ()
 
 
 def test_symbolic_cap():
