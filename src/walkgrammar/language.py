@@ -33,7 +33,6 @@ PAIR_TO_LETTER = {pair: letter for letter, pair in INDEX_PAIRS.items()}
 _WINDOW_LETTER = {SYMBOL[i] + SYMBOL[j]: letter for (i, j), letter in PAIR_TO_LETTER.items()}
 # Each letter's second index as a P/Q symbol, for str.translate.
 _SECOND_SYMBOL = str.maketrans({x: SYMBOL[pair[1]] for x, pair in INDEX_PAIRS.items()})
-_ENDS_IN_P = "".join(x for x, pair in INDEX_PAIRS.items() if pair[1] == INDEX["P"])
 
 
 def _images(table: CoproductTable) -> dict[str, tuple[str, ...]]:
@@ -78,9 +77,8 @@ def contract(w: str) -> str:
 
 def word_index(w: str) -> int:
     """Sum of the path's vertex indices; the walk vertex of the word."""
-    require_path_word(w)
-    # Each second index is +1 or -1: len(w) minus twice the count of those that are -1.
-    return INDEX_PAIRS[w[0]][0] + len(w) - 2 * sum(map(w.count, _ENDS_IN_P))
+    m = contract(w)
+    return len(m) - 2 * m.count("P")
 
 
 def grammar_table(grammar: str) -> CoproductTable:
@@ -123,14 +121,19 @@ def words_at_vertex(t: int, k: int) -> frozenset[str]:
     require_word_time(t)
     if (t + k) % 2 or abs(k) > t:
         return frozenset()
-    words = set()
-    for positions in itertools.combinations(range(t), (t - k) // 2):
+    return frozenset(
+        "".join(map(_WINDOW_LETTER.__getitem__, map(str.__add__, m, m[1:])))
+        for m in _pq_words(t, (t - k) // 2)
+    )
+
+
+def _pq_words(t: int, p_count: int):
+    """The P/Q words of length t with p_count P's, one per choice of P positions."""
+    for positions in itertools.combinations(range(t), p_count):
         symbols = ["Q"] * t
         for i in positions:
             symbols[i] = "P"
-        m = "".join(symbols)
-        words.add("".join(map(_WINDOW_LETTER.__getitem__, map(str.__add__, m, m[1:]))))
-    return frozenset(words)
+        yield "".join(symbols)
 
 
 LEMMAS = (

@@ -102,8 +102,8 @@ def complete(w: str) -> Pattern:
 def grow(p: Pattern) -> frozenset[Pattern]:
     """Apply the coassociative coproduct at every position, deduplicated.
 
-    Each distinct candidate is rotated once and each distinct rotation
-    becomes one Pattern, which rechecks that it is a closed path.
+    Each distinct candidate is canonicalised here and each distinct
+    rotation becomes one Pattern, whose own checks rotate it again.
     """
     s = p.letters
     candidates = {s[:i] + split + s[i + 1 :] for i, x in enumerate(s) for split in COASSOC_RULES[x]}

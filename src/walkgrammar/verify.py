@@ -188,12 +188,18 @@ def language_checks(max_t: int) -> list[CheckResult]:
         for t in range(2, max_t + 1)
     )
     results.append(CheckResult("grammar equivalence", ok))
-    ok = True
     state = walk.run_symbolic(min(max_t, walk.SYMBOLIC_MAX_DEFAULT))
+    t = state.time
+    grammar_words = _grouped({t: language.generate(t)}, language.word_index)[t]
+    ok = set(grammar_words) <= set(state.vertices())
     for k in state.vertices():
-        words = language.words_at_vertex(state.time, k)
+        words = language.words_at_vertex(t, k)
         contracted = {language.contract(w) for w in words}
-        if len(contracted) != len(words) or contracted != set(state.cell(k)):
+        if (
+            words != set(grammar_words.get(k, ()))
+            or len(contracted) != len(words)
+            or contracted != set(state.cell(k))
+        ):
             ok = False
     results.append(CheckResult("letter words match walk cells under contraction", ok))
     return results

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from walkgrammar import language, walk
+from walkgrammar import language, verify, walk
 from walkgrammar.coalgebra import FormalSum, iterate_rightmost
 from walkgrammar.language import (
     check_lemma,
@@ -189,3 +189,20 @@ def test_corollary_equality():
         check_lemma("corollary-equality", depth=0)
     with pytest.raises(ValueError):
         check_lemma("nonexistent-lemma")
+
+
+def test_verify_ties_the_grammar_to_the_walk_cells(monkeypatch):
+    def check():
+        (result,) = [
+            c for c in verify.language_checks(6) if c.name.startswith("letter words match walk cells")
+        ]
+        return result.ok
+
+    assert check()
+    full = generate
+
+    def missing_one(t, grammar="markov"):
+        return full(t, grammar) - {min(full(t, grammar))}
+
+    monkeypatch.setattr(language, "generate", missing_one)
+    assert not check()
