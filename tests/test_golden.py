@@ -1,0 +1,102 @@
+"""Golden stdout corpus: every CLI command's current stdout and exit code, byte for byte.
+
+The corpus pins what the CLI prints today, not the exact values of the
+objects it prints.  In particular it keeps the printed-digit defect:
+`walk run --steps 12` prints rounding noise in the 15th digit where the
+exact dyadic probability is shorter.  A refactor must leave every file
+under `tests/golden/` as it is; a change that means to alter output
+regenerates them with
+
+    PYTHONPATH=src python tests/test_golden.py
+
+and says why in its description.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import os
+import shlex
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import walkgrammar
+from walkgrammar.cli import main
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+STDOUT = GOLDEN / "stdout"
+EXIT_CODES = GOLDEN / "exit_codes.txt"
+
+
+def _cases() -> dict[str, list[str]]:
+    cases = {}
+    for line in (GOLDEN / "argv.txt").read_text(encoding="utf-8").splitlines():
+        if line and not line.startswith("#"):
+            name, _, args = line.partition(":")
+            cases[name] = shlex.split(args.replace("{inputs}", str(GOLDEN / "inputs")))
+    return cases
+
+
+CASES = _cases()
+
+
+def _run_in_process(argv: list[str]) -> tuple[int, str]:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue()
+
+
+def _expected(name: str) -> tuple[int, bytes]:
+    codes = dict(line.split() for line in EXIT_CODES.read_text(encoding="utf-8").splitlines())
+    return int(codes[name]), (STDOUT / f"{name}.txt").read_bytes()
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_cli_stdout_matches_the_golden_corpus(name):
+    code, out = _run_in_process(CASES[name])
+    assert (code, out.encode("utf-8")) == _expected(name)
+
+
+# Commands whose output passes through sets, checks or errors.
+SUBPROCESS_CASES = [
+    "walk-run-symbolic-custom",
+    "lang-t7-k-3-coassoc",
+    "orbits-enum-t8",
+    "verify-all-4",
+    "walk-run-psi-nan",
+    "lang-grammar-bad",
+]
+
+
+@pytest.mark.parametrize("seed", ["1", "2"])
+def test_golden_subset_under_optimize_and_hash_seeds(seed):
+    src = str(Path(walkgrammar.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=seed, PYTHONIOENCODING="utf-8")
+    for name in SUBPROCESS_CASES:
+        done = subprocess.run(
+            [sys.executable, "-O", "-m", "walkgrammar.cli", *CASES[name]],
+            env=env, capture_output=True, timeout=120,
+        )
+        assert (done.returncode, done.stdout) == _expected(name), name
+
+
+def regenerate() -> None:
+    STDOUT.mkdir(exist_ok=True)
+    codes = []
+    for name, argv in CASES.items():
+        code, out = _run_in_process(argv)
+        (STDOUT / f"{name}.txt").write_bytes(out.encode("utf-8"))
+        codes.append(f"{name} {code}\n")
+    EXIT_CODES.write_text("".join(codes), encoding="utf-8")
+
+
+if __name__ == "__main__":
+    regenerate()
