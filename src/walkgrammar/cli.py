@@ -1,8 +1,9 @@
 """Command-line front end.
 
-Exit codes: 0 on success, 1 on a domain error (single-line diagnostic on
-stderr) or a failed check (FAIL on stdout), 2 on usage errors.  Data output
-is deterministic: identical arguments produce byte-identical output.
+Exit codes: 0 on success, 1 on a domain error or a MemoryError (one-line
+diagnostic on stderr) or a failed check (FAIL on stdout), 2 on usage
+errors.  Data output is deterministic: identical arguments produce
+byte-identical output.
 
 `walk run` prints each probability rounded to 15 significant digits, in CSV
 and JSON alike, so that rounding noise from the coin entries (1/sqrt(2) is
@@ -175,8 +176,6 @@ def cmd_lang_generate(args) -> int:
         words = language.generate(args.t, args.grammar)
     else:
         words = language.words_at_vertex(args.t, args.vertex)
-        if args.grammar != "markov":
-            words = frozenset(w for w in language.generate(args.t, args.grammar)) & words
     _emit_table(WORD_COLUMNS, _word_rows(words), args)
     return 0
 
@@ -327,7 +326,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen = lang_sub.add_parser("generate", help="words at time t")
     p_gen.add_argument("--t", type=int, required=True)
     p_gen.add_argument("--vertex", type=int)
-    p_gen.add_argument("--grammar", choices=("markov", "coassoc"), default="markov")
+    p_gen.add_argument(
+        "--grammar", choices=("markov", "coassoc"), default="markov",
+        help="both give the same words; with --vertex both take one path that builds only its words",
+    )
     _table_arguments(p_gen)
     p_gen.set_defaults(func=cmd_lang_generate)
 
@@ -389,6 +391,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except (ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return 1
 
 

@@ -20,7 +20,7 @@ from itertools import chain
 from types import MappingProxyType
 from typing import Iterable, Mapping, Union
 
-from .graphs import de_bruijn_labels
+from .graphs import EXT_SEP, de_bruijn_labels
 
 Scalar = Union[int, Fraction]
 Word = tuple[str, ...]
@@ -386,9 +386,9 @@ def de_bruijn_counit(p: int) -> CounitTable:
 def extension_coproduct(p: int) -> CoproductTable:
     """Coassociative coproduct on edge symbols i|j of the p-label De Bruijn graph."""
     labels = de_bruijn_labels(p)
-    alphabet = tuple(f"{i}|{j}" for i in labels for j in labels)
+    alphabet = tuple(i + EXT_SEP + j for i in labels for j in labels)
     rules = {
-        f"{i}|{j}": FormalSum([((f"{i}|{l}", f"{l}|{j}"), 1) for l in labels])
+        i + EXT_SEP + j: FormalSum([((i + EXT_SEP + l, l + EXT_SEP + j), 1) for l in labels])
         for i in labels
         for j in labels
     }
@@ -397,7 +397,7 @@ def extension_coproduct(p: int) -> CoproductTable:
 
 def extension_counit(p: int) -> CounitTable:
     labels = de_bruijn_labels(p)
-    return CounitTable({f"{i}|{j}": int(i == j) for i in labels for j in labels})
+    return CounitTable({i + EXT_SEP + j: int(i == j) for i in labels for j in labels})
 
 
 # The four letters name the vertices of the extension of the two-label De

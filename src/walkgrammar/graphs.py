@@ -114,9 +114,6 @@ class StochMatrix:
         i, j = ij
         return self.rows[i][j]
 
-    def dense(self) -> np.ndarray:
-        return np.array([[float(x) for x in row] for row in self.rows])
-
     def to_csv(self) -> str:
         lines = [",".join(_fraction_str(x) for x in row) for row in self.rows]
         return "\n".join(lines) + "\n"

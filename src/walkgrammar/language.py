@@ -1,11 +1,14 @@
 """The four-letter path language of the walk.
 
-Letters are the extension-graph vertices of `coalgebra.LETTER_OF`, read
-as index pairs with P = -1 and Q = +1: a = (-1,-1), b = (-1,+1),
-c = (+1,-1), d = (+1,+1).  A word is a path of the extension graph,
-meaning consecutive letters agree on their shared index.  Contraction
-collapses the overlap into a P/Q word one symbol longer than the letter
-word, with -1 read as P and +1 as Q.
+Each letter is a window of two P/Q symbols, an edge of the two-label De
+Bruijn graph (`coalgebra.LETTER_OF`): `WINDOW` maps a -> PP, b -> PQ,
+c -> QP, d -> QQ, and every other letter table here is derived from it.
+A word is a path of the extension graph: each letter's second symbol is
+the next letter's first, so consecutive windows overlap by one symbol.
+Contraction collapses the overlaps into a P/Q word one symbol longer
+than the letter word; its inverse reads each pair of adjacent symbols as
+a letter (`LETTER`).  A letter word's index, its walk vertex, is the
+Q-count minus the P-count of its contraction (`walk.pq_index`).
 
 Times 0 and 1 have no letter words (their walk cells are the empty word,
 P and Q); the language starts at t = 2, where the time-t words are the
@@ -20,19 +23,14 @@ from dataclasses import dataclass
 
 from . import coalgebra
 from .coalgebra import CoproductTable, FormalSum
-from .walk import require_word_time
+from .graphs import EXT_SEP
+from .walk import pq_index, require_word_time, vertices
 
 LETTERS = "".join(coalgebra.FOUR_LETTERS)
-INDEX = {"P": -1, "Q": 1}
-SYMBOL = {i: x for x, i in INDEX.items()}
-INDEX_PAIRS = {
-    letter: tuple(INDEX[x] for x in edge.split("|")) for edge, letter in coalgebra.LETTER_OF.items()
-}
-PAIR_TO_LETTER = {pair: letter for letter, pair in INDEX_PAIRS.items()}
-# The inverse of contraction, one window at a time: "PQ" -> b, and so on.
-_WINDOW_LETTER = {SYMBOL[i] + SYMBOL[j]: letter for (i, j), letter in PAIR_TO_LETTER.items()}
-# Each letter's second index as a P/Q symbol, for str.translate.
-_SECOND_SYMBOL = str.maketrans({x: SYMBOL[pair[1]] for x, pair in INDEX_PAIRS.items()})
+WINDOW = {letter: edge.replace(EXT_SEP, "") for edge, letter in coalgebra.LETTER_OF.items()}
+LETTER = {window: letter for letter, window in WINDOW.items()}
+# Each letter's second symbol, for str.translate.
+_SECOND_SYMBOL = str.maketrans({x: window[1] for x, window in WINDOW.items()})
 
 
 def _images(table: CoproductTable) -> dict[str, tuple[str, ...]]:
@@ -43,14 +41,13 @@ def _images(table: CoproductTable) -> dict[str, tuple[str, ...]]:
 # and their last-letter rewrite rules.  Applying the Markov rule appends
 # one letter along an edge of the extension graph; the coassociative rule
 # replaces the last letter by one of its two coproduct terms.
-_MARKOV, _MARKOV_IN = coalgebra.markov_pair_e()
+_MARKOV = coalgebra.markov_pair_e()[0]
 GRAMMAR_TABLES = {"markov": _MARKOV, "coassoc": coalgebra.coproduct_e()}
 COASSOC_RULES = _images(GRAMMAR_TABLES["coassoc"])
 
-# Out- and in-neighbours in the extension graph: x -> y iff x's second
-# index is y's first.
+# Out-neighbours in the extension graph: x -> y iff x's second symbol is
+# y's first.
 SUCCESSORS = {x: "".join(w[1] for w in images) for x, images in _images(_MARKOV).items()}
-PREDECESSORS = {y: "".join(w[0] for w in images) for y, images in _images(_MARKOV_IN).items()}
 # A letter outside the alphabet, or a letter followed by a non-successor.  In a
 # word over the alphabet, the leftmost match is the word's first break.
 _FAULT = re.compile("|".join([f"[^{LETTERS}]"] + [f"{x}[^{SUCCESSORS[x]}]" for x in LETTERS]))
@@ -70,15 +67,14 @@ def require_path_word(w: str) -> str:
 
 
 def contract(w: str) -> str:
-    """Collapse overlapping index pairs into the underlying P/Q word."""
+    """Collapse overlapping windows into the underlying P/Q word."""
     require_path_word(w)
-    return SYMBOL[INDEX_PAIRS[w[0]][0]] + w.translate(_SECOND_SYMBOL)
+    return WINDOW[w[0]][0] + w.translate(_SECOND_SYMBOL)
 
 
 def word_index(w: str) -> int:
-    """Sum of the path's vertex indices; the walk vertex of the word."""
-    m = contract(w)
-    return len(m) - 2 * m.count("P")
+    """The walk vertex of the word: the index of its contraction."""
+    return pq_index(contract(w))
 
 
 def grammar_table(grammar: str) -> CoproductTable:
@@ -94,7 +90,7 @@ def generate(t: int, grammar: str = "markov") -> frozenset[str]:
 
     Both grammars return the same set: every path of length t - 1 in the
     extension graph, 2^t words in total.  t is capped at
-    `walk.SYMBOLIC_MAX_DEFAULT`, the symbolic walk's cap.
+    `walk.WORD_TIME_MAX`, the symbolic walk's cap.
     """
     rules = _images(grammar_table(grammar))
     if t < 2:
@@ -111,7 +107,7 @@ def words_at_vertex(t: int, k: int) -> frozenset[str]:
 
     Contraction is a bijection from the time-t letter words onto the P/Q
     words of length t: its inverse reads each window of two symbols as a
-    letter (_WINDOW_LETTER).  The index of a letter word is the Q-count
+    letter (`LETTER`).  The index of a letter word is the Q-count
     minus the P-count of its contraction, so the words at vertex k are the
     inverses of the P/Q words with (t - k)/2 P's: one word per choice of
     P positions, C(t, (t - k)/2) in all, and nothing else is built.
@@ -119,10 +115,10 @@ def words_at_vertex(t: int, k: int) -> frozenset[str]:
     if t < 2:
         raise ValueError(f"the language starts at t = 2, got t = {t}")
     require_word_time(t)
-    if (t + k) % 2 or abs(k) > t:
+    if k not in vertices(t):
         return frozenset()
     return frozenset(
-        "".join(map(_WINDOW_LETTER.__getitem__, map(str.__add__, m, m[1:])))
+        "".join(map(LETTER.__getitem__, map(str.__add__, m, m[1:])))
         for m in _pq_words(t, (t - k) // 2)
     )
 
@@ -186,14 +182,12 @@ def check_lemma(lemma: str, depth: int = 1) -> LemmaReport:
         if lhs != rhs:
             failures.append(f"markov and coassociative coproducts differ on {pair[0]}+{pair[1]}")
     elif lemma == "lemma-contraction-mult":
-        closing = {"P": -1, "Q": 1}
-        for y in LETTERS:
-            for factor, sign in closing.items():
-                z = PAIR_TO_LETTER[(INDEX_PAIRS[y][1], sign)]
-                for x in PREDECESSORS[y]:
-                    checked += 1
-                    if contract(x + y) + factor != contract(x + y + z):
-                        failures.append(f"C({x}{y}){factor} != C({x}{y}{z})")
+        for x in LETTERS:
+            for y, factor in itertools.product(SUCCESSORS[x], "PQ"):
+                z = LETTER[WINDOW[y][1] + factor]
+                checked += 1
+                if contract(x + y) + factor != contract(x + y + z):
+                    failures.append(f"C({x}{y}){factor} != C({x}{y}{z})")
         for x in LETTERS:
             checked += 1
             lhs_words = {contract(x) + "P", contract(x) + "Q"}

@@ -15,15 +15,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .language import (
-    COASSOC_RULES,
-    INDEX_PAIRS,
-    LETTERS,
-    PAIR_TO_LETTER,
-    SUCCESSORS,
-    require_path_word,
-)
-from .walk import require_word_time
+from .language import COASSOC_RULES, LETTER, LETTERS, SUCCESSORS, WINDOW, require_path_word
+from .walk import pq_index, require_word_time, vertices
 
 
 def _least_rotation(s: str) -> str:
@@ -39,6 +32,13 @@ def _least_rotation(s: str) -> str:
     return best
 
 
+def _require_cycle(letters: str) -> None:
+    """Refuse a letter word that is not a path ending where it starts."""
+    require_path_word(letters)
+    if WINDOW[letters[-1]][1] != WINDOW[letters[0]][0]:
+        raise ValueError(f"{letters!r} is an open path, not a cycle")
+
+
 @dataclass(frozen=True, order=True)
 class Pattern:
     """Canonical cyclic closed letter word."""
@@ -46,11 +46,7 @@ class Pattern:
     letters: str
 
     def __post_init__(self):
-        require_path_word(self.letters)
-        first = INDEX_PAIRS[self.letters[0]][0]
-        last = INDEX_PAIRS[self.letters[-1]][1]
-        if first != last:
-            raise ValueError(f"{self.letters!r} is an open path, not a cycle")
+        _require_cycle(self.letters)
         if self.letters != _least_rotation(self.letters):
             raise ValueError(f"{self.letters!r} is not the least rotation of its cycle")
 
@@ -63,15 +59,13 @@ class Pattern:
 
 def canonicalize(letters: str) -> Pattern:
     """Pattern of a closed composable cycle, any rotation accepted."""
-    require_path_word(letters)
-    if INDEX_PAIRS[letters[0]][0] != INDEX_PAIRS[letters[-1]][1]:
-        raise ValueError(f"{letters!r} is an open path, not a cycle")
+    _require_cycle(letters)
     return Pattern(_least_rotation(letters))
 
 
 def orbit_index(p: Pattern) -> int:
-    """Sum of first indices over the cycle; rotation invariant."""
-    return sum(INDEX_PAIRS[x][0] for x in p.letters)
+    """Index of the cycle's first symbols, one per letter; rotation invariant."""
+    return pq_index("".join([WINDOW[x][0] for x in p.letters]))
 
 
 def primitive_root(p: Pattern) -> tuple[Pattern, int]:
@@ -95,7 +89,7 @@ def read(p: Pattern) -> frozenset[str]:
 def complete(w: str) -> Pattern:
     """Close an open path word with the unique returning letter."""
     require_path_word(w)
-    closing = PAIR_TO_LETTER[(INDEX_PAIRS[w[-1]][1], INDEX_PAIRS[w[0]][0])]
+    closing = LETTER[WINDOW[w[-1]][1] + WINDOW[w[0]][0]]
     return canonicalize(w + closing)
 
 
@@ -123,7 +117,7 @@ def orbits_at_time(t: int) -> frozenset[Pattern]:
 
 def orbit_count_lower_bound(t: int, k: int) -> int:
     """Ceiling of binom(t, (t-k)/2) / t, in exact integer arithmetic."""
-    if (t + k) % 2 or abs(k) > t:
+    if k not in vertices(t):
         raise ValueError(f"vertex {k} is off the parity lattice at time {t}")
     kappa = (t - k) // 2
     bound = Fraction(math.comb(t, kappa), t)

@@ -139,7 +139,7 @@ def walk_checks(max_t: int) -> list[CheckResult]:
 
     state = walk.initial_symbolic()
     ok = True
-    for _ in range(min(max_t, walk.SYMBOLIC_MAX_DEFAULT)):
+    for _ in range(min(max_t, walk.WORD_TIME_MAX)):
         state = walk.step_symbolic(state)
         try:
             state.validate()
@@ -188,11 +188,11 @@ def language_checks(max_t: int) -> list[CheckResult]:
         for t in range(2, max_t + 1)
     )
     results.append(CheckResult("grammar equivalence", ok))
-    state = walk.run_symbolic(min(max_t, walk.SYMBOLIC_MAX_DEFAULT))
+    state = walk.run_symbolic(min(max_t, walk.WORD_TIME_MAX))
     t = state.time
     grammar_words = _grouped({t: language.generate(t)}, language.word_index)[t]
-    ok = set(grammar_words) <= set(state.vertices())
-    for k in state.vertices():
+    ok = set(grammar_words) <= set(walk.vertices(t))
+    for k in walk.vertices(t):
         words = language.words_at_vertex(t, k)
         contracted = {language.contract(w) for w in words}
         if (
@@ -230,7 +230,7 @@ def orbit_checks(max_t: int) -> list[CheckResult]:
 
     ok = True
     for t in range(3, max_t + 1):
-        for k in range(-t, t + 1, 2):
+        for k in walk.vertices(t):
             read_union = set().union(*(orbits.read(p) for p in by_index[t].get(k, ())))
             if read_union != set(words_by_index[t].get(k, ())):
                 ok = False

@@ -12,7 +12,8 @@ sorted, so a new cell merges two sorted runs (ending in P and in Q, so
 disjoint), which `sorted` does in linear time.  Numeric states carry the
 summed 2x2 matrix per vertex.
 
-States store occupied vertices contiguously: index i holds vertex 2i - n.
+States store occupied vertices contiguously, in the order of
+`vertices(n)`: the time-n lattice -n, -n + 2, ..., n.
 
 The numeric stepper uses that P and Q are rows of the coin: P has a zero
 second row and Q a zero first row (`CoinPair` enforces both), so for any
@@ -47,9 +48,19 @@ from .quantize import CoinPair
 PROB_TOL = 1e-10
 UNITARITY_TOL = 1e-10
 COMMUTATOR_TOL = 1e-14
-SYMBOLIC_MAX_DEFAULT = 24
+WORD_TIME_MAX = 24
 # Three (steps + 1, 2, 2) complex buffers: ~19 MB at the cap.
 NUMERIC_MAX_STEPS = 100_000
+
+
+def vertices(t: int) -> range:
+    """The time-t lattice: every k with |k| <= t and k + t even, in increasing order."""
+    return range(-t, t + 1, 2)
+
+
+def pq_index(w: str) -> int:
+    """Q-count minus P-count of a P/Q word: the vertex a walk word ends at."""
+    return len(w) - 2 * w.count("P")
 
 
 @dataclass(frozen=True)
@@ -59,17 +70,12 @@ class SymbolicState:
     time: int
     cells: tuple[tuple[str, ...], ...]
 
-    def vertices(self) -> range:
-        return range(-self.time, self.time + 1, 2)
-
     def cell(self, k: int) -> tuple[str, ...]:
-        if (k + self.time) % 2 or abs(k) > self.time:
-            return ()
-        return self.cells[(k + self.time) // 2]
+        lattice = vertices(self.time)
+        return self.cells[lattice.index(k)] if k in lattice else ()
 
     def items(self):
-        for i, words in enumerate(self.cells):
-            yield 2 * i - self.time, words
+        return zip(vertices(self.time), self.cells)
 
     def total_words(self) -> int:
         return sum(len(words) for words in self.cells)
@@ -88,7 +94,7 @@ class SymbolicState:
             for w in words:
                 if len(w) != n or set(w) - {"P", "Q"}:
                     raise AssertionError(f"malformed word {w!r} at vertex {k}")
-                if w.count("Q") - w.count("P") != k:
+                if pq_index(w) != k:
                     raise AssertionError(f"word {w!r} misplaced at vertex {k}")
 
 
@@ -118,16 +124,14 @@ def run_symbolic(steps: int) -> SymbolicState:
 
 
 def require_word_time(t: int, name: str = "t") -> None:
-    """Refuse a time past SYMBOLIC_MAX_DEFAULT before a set of ~2^t words is built."""
-    if t > SYMBOLIC_MAX_DEFAULT:
-        raise ValueError(
-            f"{name} = {t} exceeds the word-set cap {SYMBOLIC_MAX_DEFAULT} (2^{name} words)"
-        )
+    """Refuse a time past WORD_TIME_MAX before a set of ~2^t words is built."""
+    if t > WORD_TIME_MAX:
+        raise ValueError(f"{name} = {t} exceeds the word-set cap {WORD_TIME_MAX} (2^{name} words)")
 
 
 @dataclass(frozen=True)
 class NumericState:
-    """Summed word matrices per occupied vertex; amps[i] belongs to vertex 2i - n."""
+    """Summed word matrices per occupied vertex, in the order of `vertices(time)`."""
 
     time: int
     amps: np.ndarray
@@ -139,17 +143,9 @@ class NumericState:
         object.__setattr__(self, "amps", a)
         a.setflags(write=False)
 
-    def vertices(self) -> range:
-        return range(-self.time, self.time + 1, 2)
-
     def cell(self, k: int) -> np.ndarray:
-        if (k + self.time) % 2 or abs(k) > self.time:
-            return np.zeros((2, 2), dtype=complex)
-        return self.amps[(k + self.time) // 2]
-
-    def items(self):
-        for i in range(self.time + 1):
-            yield 2 * i - self.time, self.amps[i]
+        lattice = vertices(self.time)
+        return self.amps[lattice.index(k)] if k in lattice else np.zeros((2, 2), dtype=complex)
 
 
 def _advance(src: np.ndarray, dst: np.ndarray, tmp: np.ndarray, coin: CoinPair) -> None:
@@ -222,7 +218,7 @@ def distribution(s: NumericState, psi: Sequence[complex]) -> dict[int, float]:
     total = float(np.sum(probs))
     if not abs(total - 1.0) <= PROB_TOL:
         raise ValueError(f"probabilities sum to {total!r}, expected 1")
-    return {2 * i - s.time: float(p) for i, p in enumerate(probs)}
+    return {k: float(p) for k, p in zip(vertices(s.time), probs)}
 
 
 @dataclass(frozen=True)

@@ -108,6 +108,13 @@ def test_lang_generate(capsys):
     ]
 
 
+def test_lang_generate_at_a_vertex_prints_the_same_for_both_grammars(capsys):
+    for t in range(2, 11):
+        for k in range(-t - 1, t + 2):
+            argv = ("lang", "generate", "--t", str(t), "--vertex", str(k))
+            assert run_cli(capsys, *argv, "--grammar", "coassoc") == run_cli(capsys, *argv)
+
+
 def test_lang_generate_json_round_trip(capsys):
     code, out, _ = run_cli(capsys, "lang", "generate", "--t", "4", "--format", "json")
     assert code == 0
@@ -389,6 +396,17 @@ def test_word_set_sizes_beyond_the_cap_fail_fast(argv):
     assert "exceeds the word-set cap 24" in done.stderr
 
 
+def test_running_out_of_memory_is_a_one_line_error():
+    # 2^24 symbolic words do not fit in 1 GiB of address space.
+    src = str(Path(walkgrammar.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-m", "walkgrammar.cli", "walk", "run", "--steps", "24", "--symbolic"],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=120,
+        preexec_fn=_limit_memory,
+    )
+    assert_one_line_error(done.returncode, done.stdout, done.stderr)
+
+
 def test_off_lattice_vertex_past_the_cap_is_a_domain_error(capsys):
     code, out, err = run_cli(capsys, "lang", "generate", "--t", "1000000000", "--vertex", "1")
     assert_one_line_error(code, out, err)
@@ -469,7 +487,7 @@ def test_verify_axiom_rejects_a_second_table_on_another_alphabet(capsys, tmp_pat
 # lines in a console run, so warnings are raised as errors here.  Valid sizes
 # stay small enough to run in well under a second (`--max-t 12` runs the
 # verify suites for ~2 s).
-BAD_VALUES = ["x", "", "nan", "inf", "-1", str(walk.SYMBOLIC_MAX_DEFAULT + 1), str(10**9)]
+BAD_VALUES = ["x", "", "nan", "inf", "-1", str(walk.WORD_TIME_MAX + 1), str(10**9)]
 SIZE = st.sampled_from(BAD_VALUES + [str(n) for n in range(13)])
 MAX_T = st.sampled_from(BAD_VALUES + [str(n) for n in range(9)])
 ANGLE = st.sampled_from(BAD_VALUES + ["0", "0.7"])

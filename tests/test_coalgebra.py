@@ -280,9 +280,8 @@ def test_four_letter_tables_match_the_paper():
     dm, dt = coalgebra.markov_pair_e()
     assert dm.rules["c"] == sum_of("ca", "cb")
     assert dt.rules["c"] == sum_of("bc", "dc")
-    assert language.INDEX_PAIRS == {"a": (-1, -1), "b": (-1, 1), "c": (1, -1), "d": (1, 1)}
+    assert language.WINDOW == {"a": "PP", "b": "PQ", "c": "QP", "d": "QQ"}
     assert language.SUCCESSORS == {"a": "ab", "b": "cd", "c": "ab", "d": "cd"}
-    assert language.PREDECESSORS == {"a": "ac", "b": "ac", "c": "bd", "d": "bd"}
     assert {x: sorted(r) for x, r in language.COASSOC_RULES.items()} == {
         x: sorted(images) for x, images in PAPER_COPRODUCT.items()
     }

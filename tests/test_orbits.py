@@ -195,7 +195,7 @@ def test_fundamental_orbits_against_johnson_enumeration():
 
 
 def test_orbit_sets_past_the_cap_are_refused_before_growth():
-    cap = walk.SYMBOLIC_MAX_DEFAULT
+    cap = walk.WORD_TIME_MAX
     with pytest.raises(ValueError, match="word-set cap"):
         orbits_at_time(cap + 1)
     with pytest.raises(ValueError, match="word-set cap"):

@@ -191,7 +191,7 @@ def test_symmetric_initial_state_stays_symmetric():
     dist = distribution(state, psi)
     oracle = spinor_walk_distribution(hadamard(), psi, 60)
     assert dist == pytest.approx(oracle, abs=1e-10)
-    for k in state.vertices():
+    for k in walk.vertices(state.time):
         assert dist[k] == pytest.approx(dist[-k], abs=1e-9)
 
 
