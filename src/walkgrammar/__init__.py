@@ -1,4 +1,10 @@
-"""Coin-driven quantum walk on the integers with its path grammar and orbits."""
+"""Coin-driven quantum walk on the integers with its path grammar and orbits.
+
+The names of the numeric layer, `quantize` and `walk`, are imported on
+first access (PEP 562), so `import walkgrammar` does not import numpy.
+"""
+
+import importlib
 
 from .coalgebra import (
     CoproductTable,
@@ -18,7 +24,6 @@ from .graphs import (
     bernoulli_matrix,
     de_bruijn_graph,
     extension,
-    is_unistochastic,
     ks_entropy,
     x_decomposition,
 )
@@ -35,29 +40,42 @@ from .orbits import (
     orbits_at_time,
     read,
 )
-from .quantize import (
-    CoinPair,
-    coin_from_angles,
-    hadamard,
-    hadamard_coin,
-    jones_generators,
-    random_unitary,
-    row_split,
-    verify_channel,
-    verify_pq_relations,
-)
-from .walk import (
-    NumericState,
-    SymbolicState,
-    commutator_check,
-    distribution,
-    evaluate,
-    initial_symbolic,
-    run_numeric,
-    run_symbolic,
-    shift_conjugacy_check,
-    step_numeric,
-    step_symbolic,
-)
+
+_NUMERIC = {
+    "quantize": (
+        "CoinPair",
+        "coin_from_angles",
+        "hadamard",
+        "hadamard_coin",
+        "is_unistochastic",
+        "jones_generators",
+        "random_unitary",
+        "row_split",
+        "verify_channel",
+        "verify_pq_relations",
+    ),
+    "walk": (
+        "NumericState",
+        "SymbolicState",
+        "commutator_check",
+        "distribution",
+        "evaluate",
+        "initial_symbolic",
+        "run_numeric",
+        "run_symbolic",
+        "shift_conjugacy_check",
+        "step_numeric",
+        "step_symbolic",
+    ),
+}
+
+
+def __getattr__(name: str):
+    for module, names in _NUMERIC.items():
+        if name == module or name in names:
+            found = importlib.import_module(f".{module}", __name__)
+            return found if name == module else getattr(found, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __version__ = "0.1.0"

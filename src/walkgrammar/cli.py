@@ -13,6 +13,12 @@ not a double) is not printed as data: the Hadamard walk at two steps prints
 exact dyadic fractions.  `walk run --symbolic` takes its probabilities from
 the same numeric stepper, so they equal those of `walk run` digit for digit;
 only the word column comes from the symbolic walk.
+
+Only `walk run`, `walk plot`, `coin check`, `verify all` and `orbits verify`
+import numpy, with `quantize`, `walk` and `verify`, inside the command: they
+need complex coin entries or the walk's amplitudes.  The word, orbit, graph
+and coalgebra commands are exact string and rational arithmetic, and they
+skip the numpy import, which takes longer than the interpreter's own start.
 """
 
 from __future__ import annotations
@@ -22,9 +28,7 @@ import json
 import sys
 from collections import Counter
 
-import numpy as np
-
-from . import coalgebra, graphs, language, orbits, quantize, verify, walk
+from . import coalgebra, graphs, language, orbits
 
 
 def _coin_arguments(parser: argparse.ArgumentParser) -> None:
@@ -46,7 +50,8 @@ def _table_arguments(parser: argparse.ArgumentParser) -> None:
     _output_arguments(parser)
 
 
-def _resolve_coin(args) -> quantize.CoinPair:
+def _resolve_coin(args):
+    from . import quantize
     if args.coin_file:
         with open(args.coin_file, encoding="utf-8") as fh:
             u = quantize.coin_from_json(json.load(fh))
@@ -60,7 +65,8 @@ def _resolve_coin(args) -> quantize.CoinPair:
     return quantize.hadamard_coin()
 
 
-def _parse_psi(text: str) -> np.ndarray:
+def _parse_psi(text: str):
+    import numpy as np
     parts = text.split(",")
     if len(parts) != 4:
         raise ValueError("--psi expects four comma-separated numbers: re,im,re,im")
@@ -100,6 +106,7 @@ def _probability(p: float) -> float:
 
 
 def cmd_walk_run(args) -> int:
+    from . import walk
     coin = _resolve_coin(args)
     psi = _parse_psi(args.psi)
     if args.symbolic:
@@ -153,6 +160,7 @@ def _distribution_svg(dist: dict[int, float], title: str) -> str:
 
 
 def cmd_walk_plot(args) -> int:
+    from . import walk
     coin = _resolve_coin(args)
     psi = _parse_psi(args.psi)
     dist = walk.distribution(walk.run_numeric(coin, args.steps), psi)
@@ -163,8 +171,9 @@ def cmd_walk_plot(args) -> int:
 
 def _word_rows(words) -> list[dict]:
     return [
-        {"word": w, "index": language.word_index(w), "contraction": language.contract(w)}
+        {"word": w, "index": language.pq_index(m), "contraction": m}
         for w in sorted(words)
+        for m in [language.contract(w)]
     ]
 
 
@@ -181,9 +190,10 @@ def cmd_lang_generate(args) -> int:
 
 
 def cmd_orbits_enumerate(args) -> int:
-    pats = orbits.orbits_at_time(args.t)
-    if args.vertex is not None:
-        pats = frozenset(p for p in pats if orbits.orbit_index(p) == args.vertex)
+    if args.vertex is None:
+        pats = orbits.orbits_at_time(args.t)
+    else:
+        pats = orbits.orbits_at_vertex(args.t, args.vertex)
     rows = []
     for p in sorted(pats):
         root, mult = orbits.primitive_root(p)
@@ -233,6 +243,7 @@ def _print_checks(results, quiet: bool) -> int:
 
 
 def cmd_orbits_verify(args) -> int:
+    from . import verify
     return _print_checks(verify.orbit_checks(args.max_t), args.quiet)
 
 
@@ -250,6 +261,7 @@ def cmd_graph_export(args) -> int:
 
 
 def cmd_coin_check(args) -> int:
+    from . import quantize
     coin = _resolve_coin(args)
     u = coin.unitary
     channel = quantize.verify_channel(quantize.row_split(u))
@@ -268,6 +280,7 @@ def cmd_coin_check(args) -> int:
 
 
 def cmd_verify_all(args) -> int:
+    from . import verify
     return _print_checks(verify.run_all(args.max_t), args.quiet)
 
 

@@ -7,9 +7,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
-import numpy as np
-
-WITNESS_TOL = 1e-12
 EXT_SEP = "|"
 # The largest De Bruijn label count and uniform-matrix size: the extension
 # of the 64-label graph is 262 144 edges, 6 MB of DOT.
@@ -166,10 +163,17 @@ def x_decomposition(b: StochMatrix) -> list[tuple[tuple[Fraction, ...], ...]]:
 
 
 def _mat_mul_exact(a, b):
-    m = len(a)
-    return tuple(
-        tuple(sum(a[i][k] * b[k][j] for k in range(m)) for j in range(m)) for i in range(m)
-    )
+    """Exact product a.b; only products of two nonzero entries are formed."""
+    b_terms = [[(j, y) for j, y in enumerate(row) if y] for row in b]
+    product = []
+    for row in a:
+        acc = [Fraction(0)] * len(row)
+        for k, x in enumerate(row):
+            if x:
+                for j, y in b_terms[k]:
+                    acc[j] += x * y
+        product.append(tuple(acc))
+    return tuple(product)
 
 
 @dataclass(frozen=True)
@@ -200,12 +204,3 @@ def verify_x_relations(b: StochMatrix) -> XRelationsReport:
             if lhs != rhs:
                 failures.append((h, l))
     return XRelationsReport(not failures, tuple(failures))
-
-
-def is_unistochastic(b: StochMatrix, u: np.ndarray) -> bool:
-    """Witness check: does B_ij = |U_ij|^2 hold within WITNESS_TOL for this U?"""
-    u = np.asarray(u, dtype=complex)
-    if u.shape != (b.dimension, b.dimension):
-        raise ValueError("witness has the wrong shape")
-    target = np.array([[float(x) for x in row] for row in b.rows])
-    return bool(np.max(np.abs(np.abs(u) ** 2 - target)) <= WITNESS_TOL)

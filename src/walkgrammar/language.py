@@ -8,7 +8,11 @@ the next letter's first, so consecutive windows overlap by one symbol.
 Contraction collapses the overlaps into a P/Q word one symbol longer
 than the letter word; its inverse reads each pair of adjacent symbols as
 a letter (`LETTER`).  A letter word's index, its walk vertex, is the
-Q-count minus the P-count of its contraction (`walk.pq_index`).
+Q-count minus the P-count of its contraction (`pq_index`).
+
+The walk's lattice lives here too, so the word and orbit layers need no
+numeric code: `vertices(t)` are the vertices a time-t word can end at,
+and `require_word_time` caps every word set at WORD_TIME_MAX.
 
 Times 0 and 1 have no letter words (their walk cells are the empty word,
 P and Q); the language starts at t = 2, where the time-t words are the
@@ -24,8 +28,8 @@ from dataclasses import dataclass
 from . import coalgebra
 from .coalgebra import CoproductTable, FormalSum
 from .graphs import EXT_SEP
-from .walk import pq_index, require_word_time, vertices
 
+WORD_TIME_MAX = 24
 LETTERS = "".join(coalgebra.FOUR_LETTERS)
 WINDOW = {letter: edge.replace(EXT_SEP, "") for edge, letter in coalgebra.LETTER_OF.items()}
 LETTER = {window: letter for letter, window in WINDOW.items()}
@@ -77,6 +81,22 @@ def word_index(w: str) -> int:
     return pq_index(contract(w))
 
 
+def vertices(t: int) -> range:
+    """The time-t lattice: every k with |k| <= t and k + t even, in increasing order."""
+    return range(-t, t + 1, 2)
+
+
+def pq_index(w: str) -> int:
+    """Q-count minus P-count of a P/Q word: the vertex a walk word ends at."""
+    return len(w) - 2 * w.count("P")
+
+
+def require_word_time(t: int, name: str = "t") -> None:
+    """Refuse a time past WORD_TIME_MAX before a set of ~2^t words is built."""
+    if t > WORD_TIME_MAX:
+        raise ValueError(f"{name} = {t} exceeds the word-set cap {WORD_TIME_MAX} (2^{name} words)")
+
+
 def grammar_table(grammar: str) -> CoproductTable:
     """The coproduct table whose rightmost iteration drives the grammar."""
     try:
@@ -90,7 +110,7 @@ def generate(t: int, grammar: str = "markov") -> frozenset[str]:
 
     Both grammars return the same set: every path of length t - 1 in the
     extension graph, 2^t words in total.  t is capped at
-    `walk.WORD_TIME_MAX`, the symbolic walk's cap.
+    WORD_TIME_MAX, the symbolic walk's cap too.
     """
     rules = _images(grammar_table(grammar))
     if t < 2:

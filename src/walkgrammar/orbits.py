@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .language import COASSOC_RULES, LETTER, LETTERS, SUCCESSORS, WINDOW, require_path_word
-from .walk import pq_index, require_word_time, vertices
+from .language import pq_index, require_word_time, vertices
 
 
 def _least_rotation(s: str) -> str:
@@ -104,15 +104,28 @@ def grow(p: Pattern) -> frozenset[Pattern]:
     return frozenset(map(Pattern, {_least_rotation(c) for c in candidates}))
 
 
-def orbits_at_time(t: int) -> frozenset[Pattern]:
-    """All length-t patterns, grown from the completions of the time-2 words."""
+def _require_orbit_time(t: int) -> None:
+    """Refuse a time below 2 or past the word-set cap before any orbit is grown."""
     if t < 2:
         raise ValueError(f"periodic orbits start at t = 2, got t = {t}")
     require_word_time(t)
+
+
+def orbits_at_time(t: int) -> frozenset[Pattern]:
+    """All length-t patterns, grown from the completions of the time-2 words."""
+    _require_orbit_time(t)
     pats = frozenset(complete(x) for x in LETTERS)
     for _ in range(t - 2):
         pats = frozenset(q for p in pats for q in grow(p))
     return pats
+
+
+def orbits_at_vertex(t: int, k: int) -> frozenset[Pattern]:
+    """Length-t patterns with orbit index k; off the parity lattice none is built."""
+    _require_orbit_time(t)
+    if k not in vertices(t):
+        return frozenset()
+    return frozenset(p for p in orbits_at_time(t) if orbit_index(p) == k)
 
 
 def orbit_count_lower_bound(t: int, k: int) -> int:

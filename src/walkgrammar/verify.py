@@ -139,7 +139,7 @@ def walk_checks(max_t: int) -> list[CheckResult]:
 
     state = walk.initial_symbolic()
     ok = True
-    for _ in range(min(max_t, walk.WORD_TIME_MAX)):
+    for _ in range(min(max_t, language.WORD_TIME_MAX)):
         state = walk.step_symbolic(state)
         try:
             state.validate()
@@ -188,11 +188,11 @@ def language_checks(max_t: int) -> list[CheckResult]:
         for t in range(2, max_t + 1)
     )
     results.append(CheckResult("grammar equivalence", ok))
-    state = walk.run_symbolic(min(max_t, walk.WORD_TIME_MAX))
+    state = walk.run_symbolic(min(max_t, language.WORD_TIME_MAX))
     t = state.time
     grammar_words = _grouped({t: language.generate(t)}, language.word_index)[t]
-    ok = set(grammar_words) <= set(walk.vertices(t))
-    for k in walk.vertices(t):
+    ok = set(grammar_words) <= set(language.vertices(t))
+    for k in language.vertices(t):
         words = language.words_at_vertex(t, k)
         contracted = {language.contract(w) for w in words}
         if (
@@ -218,7 +218,7 @@ def _grouped(sets: dict[int, frozenset], index) -> dict[int, dict[int, list]]:
 def orbit_checks(max_t: int) -> list[CheckResult]:
     if max_t < 3:
         raise ValueError("need max_t >= 3")
-    walk.require_word_time(max_t, "max_t")
+    language.require_word_time(max_t, "max_t")
     results = []
     at_time = {t: orbits.orbits_at_time(t) for t in range(2, max_t + 1)}
     by_index = _grouped(at_time, orbits.orbit_index)
@@ -230,7 +230,7 @@ def orbit_checks(max_t: int) -> list[CheckResult]:
 
     ok = True
     for t in range(3, max_t + 1):
-        for k in walk.vertices(t):
+        for k in language.vertices(t):
             read_union = set().union(*(orbits.read(p) for p in by_index[t].get(k, ())))
             if read_union != set(words_by_index[t].get(k, ())):
                 ok = False
@@ -288,7 +288,7 @@ def quantize_checks() -> list[CheckResult]:
     results.append(
         CheckResult(
             "Hadamard witnesses the unistochasticity of the uniform matrix",
-            graphs.is_unistochastic(b2, quantize.hadamard()),
+            quantize.is_unistochastic(b2, quantize.hadamard()),
         )
     )
     results.append(
@@ -309,7 +309,7 @@ def quantize_checks() -> list[CheckResult]:
 def run_all(max_t: int) -> list[CheckResult]:
     if max_t < 3:
         raise ValueError("need max_t >= 3")
-    walk.require_word_time(max_t, "max_t")
+    language.require_word_time(max_t, "max_t")
     results = []
     results += coalgebra_checks()
     results += lemma_checks(depth=max(1, max_t - 2))

@@ -13,7 +13,9 @@ disjoint), which `sorted` does in linear time.  Numeric states carry the
 summed 2x2 matrix per vertex.
 
 States store occupied vertices contiguously, in the order of
-`vertices(n)`: the time-n lattice -n, -n + 2, ..., n.
+`vertices(n)`: the time-n lattice -n, -n + 2, ..., n.  The lattice, the
+index `pq_index` and the word-set cap `require_word_time` are defined in
+`language`, which needs no numpy; this module imports them from there.
 
 The numeric stepper uses that P and Q are rows of the coin: P has a zero
 second row and Q a zero first row (`CoinPair` enforces both), so for any
@@ -43,24 +45,14 @@ from typing import Sequence
 import numpy as np
 
 from .coalgebra import FormalSum
+from .language import WORD_TIME_MAX, pq_index, require_word_time, vertices
 from .quantize import CoinPair
 
 PROB_TOL = 1e-10
 UNITARITY_TOL = 1e-10
 COMMUTATOR_TOL = 1e-14
-WORD_TIME_MAX = 24
 # Three (steps + 1, 2, 2) complex buffers: ~19 MB at the cap.
 NUMERIC_MAX_STEPS = 100_000
-
-
-def vertices(t: int) -> range:
-    """The time-t lattice: every k with |k| <= t and k + t even, in increasing order."""
-    return range(-t, t + 1, 2)
-
-
-def pq_index(w: str) -> int:
-    """Q-count minus P-count of a P/Q word: the vertex a walk word ends at."""
-    return len(w) - 2 * w.count("P")
 
 
 @dataclass(frozen=True)
@@ -121,12 +113,6 @@ def run_symbolic(steps: int) -> SymbolicState:
     for _ in range(steps):
         s = step_symbolic(s)
     return s
-
-
-def require_word_time(t: int, name: str = "t") -> None:
-    """Refuse a time past WORD_TIME_MAX before a set of ~2^t words is built."""
-    if t > WORD_TIME_MAX:
-        raise ValueError(f"{name} = {t} exceeds the word-set cap {WORD_TIME_MAX} (2^{name} words)")
 
 
 @dataclass(frozen=True)

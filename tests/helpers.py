@@ -141,3 +141,24 @@ def random_bistochastic(rng: np.random.Generator, dim: int):
         for i in range(dim):
             rows[i][perm[i]] += Fraction(w, total)
     return StochMatrix(tuple(tuple(row) for row in rows))
+
+
+def dense_product(a, b) -> tuple[tuple[Fraction, ...], ...]:
+    """Exact matrix product a.b over every entry, zeros included."""
+    m = len(a)
+    return tuple(
+        tuple(sum((a[i][k] * b[k][j] for k in range(m)), Fraction(0)) for j in range(m))
+        for i in range(m)
+    )
+
+
+def x_relation_failures(rows) -> list[tuple[int, int]]:
+    """Pairs (h, l) with X_h X_l != B_hl X_l, X_h acting first, by dense products."""
+    m = len(rows)
+    x = [tuple(tuple(rows[i]) if i == h else (Fraction(0),) * m for i in range(m)) for h in range(m)]
+    return [
+        (h, l)
+        for h in range(m)
+        for l in range(m)
+        if dense_product(x[l], x[h]) != tuple(tuple(rows[h][l] * v for v in row) for row in x[l])
+    ]

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import walkgrammar
-from walkgrammar import coalgebra, walk
+from walkgrammar import coalgebra, orbits, walk
 from walkgrammar.cli import main
 
 from helpers import spinor_walk_distribution
@@ -131,6 +131,21 @@ def test_orbits_enumerate_t3(capsys):
     assert len(lines) == 5
     assert "aaa,-3,a,3" in lines
     assert "abc,-1,abc,1" in lines
+
+
+def test_orbits_enumerate_off_the_lattice_grows_no_orbit(capsys, monkeypatch):
+    def refuse(p):
+        raise AssertionError("grew an orbit off the lattice")
+
+    monkeypatch.setattr(orbits, "grow", refuse)
+    assert run_cli(capsys, "orbits", "enumerate", "--t", "16", "--vertex", "1") == (
+        0, "pattern,index,root,multiplicity\n", ""
+    )
+    # The time checks still come first, with the messages of the whole-time path.
+    for t, message in (("1", "periodic orbits start at t = 2"), ("25", "word-set cap 24")):
+        code, out, err = run_cli(capsys, "orbits", "enumerate", "--t", t, "--vertex", "1")
+        assert_one_line_error(code, out, err)
+        assert message in err
 
 
 def test_orbits_read(capsys):
@@ -381,6 +396,7 @@ def _limit_memory():
         ["lang", "generate", "--t", "1000000"],
         ["lang", "generate", "--t", "1000000", "--vertex", "0"],
         ["orbits", "enumerate", "--t", "1000000"],
+        ["orbits", "enumerate", "--t", "1000000", "--vertex", "1"],
         ["verify", "all", "--max-t", "1000000"],
         ["orbits", "verify", "--max-t", "1000000"],
     ],

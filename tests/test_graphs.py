@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -11,15 +12,14 @@ from walkgrammar.graphs import (
     bernoulli_matrix,
     de_bruijn_graph,
     extension,
-    is_unistochastic,
     ks_entropy,
     regular_system_matrix,
     verify_x_relations,
     x_decomposition,
 )
-from walkgrammar.quantize import hadamard
+from walkgrammar.quantize import hadamard, is_unistochastic
 
-from helpers import ADJACENT, PAIRS, random_bistochastic
+from helpers import ADJACENT, PAIRS, dense_product, random_bistochastic, x_relation_failures
 
 
 def test_de_bruijn_two_vertices():
@@ -144,6 +144,31 @@ def test_x_relations_report_failures_on_permutation():
     report = verify_x_relations(regular_system_matrix())
     assert not report.ok
     assert report.failures
+
+
+def test_x_relations_match_the_dense_product_oracle():
+    quarter, half = Fraction(1, 4), Fraction(1, 2)
+    # Non-uniform: half the identity, a quarter each of two other permutations.
+    mixed = StochMatrix.from_rows(
+        [
+            [half + quarter, quarter, 0, 0],
+            [quarter, half, quarter, 0],
+            [0, quarter, half, quarter],
+            [0, 0, quarter, half + quarter],
+        ]
+    )
+    assert mixed.is_bistochastic
+    matrices = [bernoulli_matrix(n) for n in range(2, 7)] + [
+        StochMatrix.from_rows([[int(i == j) for j in range(4)] for i in range(4)]),
+        regular_system_matrix(),
+        mixed,
+    ]
+    for b in matrices:
+        assert list(verify_x_relations(b).failures) == x_relation_failures(b.rows)
+        # B.B sums several nonzero terms per entry; X products sum at most one.
+        for x, y in [(b.rows, b.rows)] + list(itertools.product(x_decomposition(b), repeat=2)):
+            assert graphs._mat_mul_exact(x, y) == dense_product(x, y)
+    assert x_relation_failures(mixed.rows)
 
 
 def test_is_unistochastic_witness():

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from walkgrammar import language, verify, walk
+from walkgrammar import language, verify
 from walkgrammar.coalgebra import FormalSum, iterate_rightmost
 from walkgrammar.language import (
     check_lemma,
@@ -85,7 +85,7 @@ def test_generate_sum_has_unit_coefficients():
 
 def test_generate_refuses_times_past_the_cap():
     # Refused before anything is built: at the cap + 1 that is 2^25 words.
-    cap = walk.WORD_TIME_MAX
+    cap = language.WORD_TIME_MAX
     for call in (lambda: generate(cap + 1), lambda: generate(cap + 1, "coassoc"),
                  lambda: words_at_vertex(cap + 1, 1)):
         with pytest.raises(ValueError, match="word-set cap"):
@@ -152,7 +152,7 @@ def test_bijection_with_symbolic_walk():
             m = contract(w)
             assert m not in seen, "contraction must be injective on generated words"
             seen[m] = w
-        for k in walk.vertices(state.time):
+        for k in language.vertices(state.time):
             assert {contract(w) for w in words_at_vertex(t, k)} == set(state.cell(k))
 
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from walkgrammar import orbits, verify, walk
+from walkgrammar import language, orbits, verify
 from walkgrammar.language import contract, generate, word_index, words_at_vertex
 from walkgrammar.orbits import (
     Pattern,
@@ -195,7 +195,7 @@ def test_fundamental_orbits_against_johnson_enumeration():
 
 
 def test_orbit_sets_past_the_cap_are_refused_before_growth():
-    cap = walk.WORD_TIME_MAX
+    cap = language.WORD_TIME_MAX
     with pytest.raises(ValueError, match="word-set cap"):
         orbits_at_time(cap + 1)
     with pytest.raises(ValueError, match="word-set cap"):

@@ -9,6 +9,10 @@ is reachable only from tests; it either becomes a `verify` check or goes.
 
 A defaulted parameter that no call in the package passes only ever takes its
 default; it becomes the constant it always was.
+
+The exact layers (words, orbits, graphs, coalgebra, the CLI's top level)
+import neither numpy nor the numeric modules when they load, so the
+commands that need no complex arithmetic start without numpy.
 """
 
 import ast
@@ -120,3 +124,36 @@ def unpassed_defaults(paths) -> list[str]:
 def test_every_defaulted_parameter_is_passed_somewhere():
     unpassed = unpassed_defaults(MODULES)
     assert not unpassed, f"defaulted parameters that only ever take their default: {unpassed}"
+
+
+CORE = {"coalgebra", "graphs", "language", "orbits", "cli", "__init__"}
+NUMERIC = {"quantize", "walk", "verify"}
+
+
+def _load_time_imports(tree: ast.Module):
+    """Every module an import statement outside a function body names."""
+    stack = list(tree.body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            if node.module:
+                yield node.module
+            else:
+                yield from (alias.name for alias in node.names)
+        stack.extend(ast.iter_child_nodes(node))
+
+
+def test_core_modules_import_no_numeric_code_at_load_time():
+    assert {p.stem for p in MODULES} == CORE | NUMERIC
+    offenders = [
+        f"{path.name}: {name}"
+        for path in MODULES
+        if path.stem in CORE
+        for name in _load_time_imports(ast.parse(path.read_text(encoding="utf-8")))
+        if name.split(".")[0] in NUMERIC | {"numpy"}
+    ]
+    assert not offenders, f"core modules importing numeric code when they load: {offenders}"
