@@ -1,5 +1,8 @@
 """Golden stdout corpus: every CLI command's current stdout and exit code, byte for byte.
 
+The runs that exit 1 also pin their stderr, the one `error:` line, with
+`{inputs}` standing for the inputs directory.
+
 The corpus pins what the CLI prints today, not the exact values of the
 objects it prints.  In particular it keeps the printed-digit defect:
 `walk run --steps 12` prints rounding noise in the 15th digit where the
@@ -28,7 +31,9 @@ import walkgrammar
 from walkgrammar.cli import main
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
+INPUTS = GOLDEN / "inputs"
 STDOUT = GOLDEN / "stdout"
+STDERR = GOLDEN / "stderr"
 EXIT_CODES = GOLDEN / "exit_codes.txt"
 
 
@@ -37,32 +42,46 @@ def _cases() -> dict[str, list[str]]:
     for line in (GOLDEN / "argv.txt").read_text(encoding="utf-8").splitlines():
         if line and not line.startswith("#"):
             name, _, args = line.partition(":")
-            cases[name] = shlex.split(args.replace("{inputs}", str(GOLDEN / "inputs")))
+            cases[name] = shlex.split(args.replace("{inputs}", str(INPUTS)))
     return cases
 
 
 CASES = _cases()
 
 
-def _run_in_process(argv: list[str]) -> tuple[int, str]:
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+def _run_in_process(argv: list[str]) -> tuple[int, str, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
             code = main(argv)
         except SystemExit as exc:
             code = exc.code
-    return code, out.getvalue()
+    return code, out.getvalue(), err.getvalue()
+
+
+def _exit_codes() -> dict[str, int]:
+    lines = EXIT_CODES.read_text(encoding="utf-8").splitlines()
+    return {name: int(code) for name, code in map(str.split, lines)}
 
 
 def _expected(name: str) -> tuple[int, bytes]:
-    codes = dict(line.split() for line in EXIT_CODES.read_text(encoding="utf-8").splitlines())
-    return int(codes[name]), (STDOUT / f"{name}.txt").read_bytes()
+    return _exit_codes()[name], (STDOUT / f"{name}.txt").read_bytes()
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_cli_stdout_matches_the_golden_corpus(name):
-    code, out = _run_in_process(CASES[name])
+    code, out, _ = _run_in_process(CASES[name])
     assert (code, out.encode("utf-8")) == _expected(name)
+
+
+ERROR_CASES = sorted(name for name, code in _exit_codes().items() if code == 1)
+
+
+@pytest.mark.parametrize("name", ERROR_CASES)
+def test_cli_error_lines_match_the_golden_corpus(name):
+    code, _, err = _run_in_process(CASES[name])
+    expected = (STDERR / f"{name}.txt").read_text(encoding="utf-8")
+    assert (code, err) == (1, expected.replace("{inputs}", str(INPUTS)))
 
 
 # Commands whose output passes through sets, checks or errors.
@@ -90,10 +109,14 @@ def test_golden_subset_under_optimize_and_hash_seeds(seed):
 
 def regenerate() -> None:
     STDOUT.mkdir(exist_ok=True)
+    STDERR.mkdir(exist_ok=True)
     codes = []
     for name, argv in CASES.items():
-        code, out = _run_in_process(argv)
+        code, out, err = _run_in_process(argv)
         (STDOUT / f"{name}.txt").write_bytes(out.encode("utf-8"))
+        if code == 1:
+            err = err.replace(str(INPUTS), "{inputs}")
+            (STDERR / f"{name}.txt").write_bytes(err.encode("utf-8"))
         codes.append(f"{name} {code}\n")
     EXIT_CODES.write_text("".join(codes), encoding="utf-8")
 
