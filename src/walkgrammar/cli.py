@@ -210,13 +210,13 @@ def cmd_orbits_enumerate(args) -> int:
 
 
 def cmd_orbits_read(args) -> int:
-    pattern = orbits.canonicalize(args.pattern)
+    pattern = orbits.Pattern(args.pattern)
     _emit_table(WORD_COLUMNS, _word_rows(orbits.read(pattern)), args)
     return 0
 
 
 def cmd_orbits_decompose(args) -> int:
-    pattern = orbits.canonicalize(args.pattern)
+    pattern = orbits.Pattern(args.pattern)
     dec = orbits.decompose(pattern)
     pieces = [p.letters for p in dec.fundamentals()]
     conserved = sum(

@@ -1,12 +1,13 @@
 """Periodic orbits of the extension graph: patterns, reading, growth, decomposition.
 
-A pattern is a closed composable letter cycle stored as its
-lexicographically least rotation (a < b < c < d).  Reading a length-n
-pattern yields its n cyclic windows of length n - 1, deduplicated;
-completion closes an open path word with the unique letter that returns
-to its start; growth applies the coassociative coproduct at every cyclic
-position, producing all patterns one letter longer; decomposition peels
-a pattern into simple cycles and regluing splices them back into it.
+A pattern is a closed composable letter cycle taken up to rotation: any
+rotation constructs it, and it stores its lexicographically least
+rotation (a < b < c < d).  Reading a length-n pattern yields its n
+cyclic windows of length n - 1, deduplicated; completion closes an open
+path word with the unique letter that returns to its start; growth
+applies the coassociative coproduct at every cyclic position, producing
+all patterns one letter longer; decomposition peels a pattern into
+simple cycles and regluing splices them back into it.
 """
 
 from __future__ import annotations
@@ -32,35 +33,23 @@ def _least_rotation(s: str) -> str:
     return best
 
 
-def _require_cycle(letters: str) -> None:
-    """Refuse a letter word that is not a path ending where it starts."""
-    require_path_word(letters)
-    if WINDOW[letters[-1]][1] != WINDOW[letters[0]][0]:
-        raise ValueError(f"{letters!r} is an open path, not a cycle")
-
-
 @dataclass(frozen=True, order=True)
 class Pattern:
-    """Canonical cyclic closed letter word."""
+    """Closed composable letter cycle; any rotation is accepted, the least is stored."""
 
     letters: str
 
     def __post_init__(self):
-        _require_cycle(self.letters)
-        if self.letters != _least_rotation(self.letters):
-            raise ValueError(f"{self.letters!r} is not the least rotation of its cycle")
+        letters = require_path_word(self.letters)
+        if WINDOW[letters[-1]][1] != WINDOW[letters[0]][0]:
+            raise ValueError(f"{letters!r} is an open path, not a cycle")
+        object.__setattr__(self, "letters", _least_rotation(letters))
 
     def __len__(self) -> int:
         return len(self.letters)
 
     def __str__(self) -> str:
         return self.letters
-
-
-def canonicalize(letters: str) -> Pattern:
-    """Pattern of a closed composable cycle, any rotation accepted."""
-    _require_cycle(letters)
-    return Pattern(_least_rotation(letters))
 
 
 def orbit_index(p: Pattern) -> int:
@@ -73,7 +62,7 @@ def primitive_root(p: Pattern) -> tuple[Pattern, int]:
     n = len(p.letters)
     for d in range(1, n + 1):
         if n % d == 0 and p.letters[:d] * (n // d) == p.letters:
-            return canonicalize(p.letters[:d]), n // d
+            return Pattern(p.letters[:d]), n // d
     raise AssertionError("unreachable")
 
 
@@ -90,18 +79,17 @@ def complete(w: str) -> Pattern:
     """Close an open path word with the unique returning letter."""
     require_path_word(w)
     closing = LETTER[WINDOW[w[-1]][1] + WINDOW[w[0]][0]]
-    return canonicalize(w + closing)
+    return Pattern(w + closing)
 
 
 def grow(p: Pattern) -> frozenset[Pattern]:
     """Apply the coassociative coproduct at every position, deduplicated.
 
-    Each distinct candidate is canonicalised here and each distinct
-    rotation becomes one Pattern, whose own checks rotate it again.
+    Each distinct candidate becomes one Pattern, which rotates it once.
     """
     s = p.letters
     candidates = {s[:i] + split + s[i + 1 :] for i, x in enumerate(s) for split in COASSOC_RULES[x]}
-    return frozenset(map(Pattern, {_least_rotation(c) for c in candidates}))
+    return frozenset(map(Pattern, candidates))
 
 
 def _require_orbit_time(t: int) -> None:
@@ -144,7 +132,7 @@ def fundamental_orbits() -> frozenset[Pattern]:
     def search(start: str, current: str, visited: frozenset[str], path: str) -> None:
         for succ in SUCCESSORS[current]:
             if succ == start:
-                cycles.add(canonicalize(path))
+                cycles.add(Pattern(path))
             elif succ > start and succ not in visited:
                 search(start, succ, visited | {succ}, path + succ)
 
@@ -160,22 +148,21 @@ class Decomposition:
     `peeled` lists the extracted cycles innermost first, each anchored at
     its splice letter, together with the index at which it re-inserts into
     the reduced walk; `base` is the simple cycle left on the stack.
-    Replaying the insertions in reverse rebuilds the source pattern.
+    Replaying the insertions in reverse rebuilds the decomposed pattern.
     """
 
-    source: Pattern
     peeled: tuple[tuple[str, int], ...]
     base: str
 
     def fundamentals(self) -> tuple[Pattern, ...]:
         """Canonical pieces in emission order, base last."""
-        return tuple(canonicalize(c) for c, _ in self.peeled) + (canonicalize(self.base),)
+        return tuple(Pattern(c) for c, _ in self.peeled) + (Pattern(self.base),)
 
     def reglue(self) -> Pattern:
         walk = list(self.base)
         for cycle, idx in reversed(self.peeled):
             walk[idx:idx] = cycle
-        return canonicalize("".join(walk))
+        return Pattern("".join(walk))
 
 
 def decompose(p: Pattern) -> Decomposition:
@@ -198,4 +185,4 @@ def decompose(p: Pattern) -> Decomposition:
             del stack[start:]
         position[letter] = len(stack)
         stack.append(letter)
-    return Decomposition(p, tuple(peeled), "".join(stack))
+    return Decomposition(tuple(peeled), "".join(stack))

@@ -54,14 +54,17 @@ def min_rotation(s: str) -> str:
     return min(s[i:] + s[:i] for i in range(len(s)))
 
 
-def grow_oracle(p):
-    """Growth by its definition: each of the 2 len(p) candidates canonicalised on its own."""
-    from walkgrammar.language import COASSOC_RULES
-    from walkgrammar.orbits import canonicalize
+def grow_oracle(letters: str) -> frozenset[str]:
+    """Growth by its definition, as least rotations.
 
-    s = p.letters
+    The letter with window uv splits into the windows us, sv for s in
+    {P, Q}; each of the 2 len(letters) candidates is rotated on its own.
+    """
+    letter = {pair: x for x, pair in PAIRS.items()}
     return frozenset(
-        canonicalize(s[:i] + split + s[i + 1 :]) for i, x in enumerate(s) for split in COASSOC_RULES[x]
+        min_rotation(letters[:i] + letter[u + s] + letter[s + v] + letters[i + 1 :])
+        for i, (u, v) in enumerate(map(PAIRS.get, letters))
+        for s in "PQ"
     )
 
 

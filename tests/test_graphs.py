@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from walkgrammar import graphs, verify
+from walkgrammar.coalgebra import extension_coproduct
 from walkgrammar.graphs import (
     DirectedGraph,
     StochMatrix,
@@ -55,6 +56,14 @@ def test_extension_sizes():
         ext = extension(de_bruijn_graph(p))
         assert len(ext.vertices) == p**2
         assert len(ext.edges) == p**3
+
+
+@pytest.mark.parametrize("p", range(2, 6))
+def test_extension_graph_is_the_extension_coproduct(p):
+    """Vertices are the coproduct's alphabet; edges are the words of its summands."""
+    ext, table = extension(de_bruijn_graph(p)), extension_coproduct(p)
+    assert ext.vertices == set(table.alphabet)
+    assert ext.edges == {word for x in table.alphabet for word, _ in table.apply(x)}
 
 
 def test_extension_fixed_points():

@@ -13,6 +13,9 @@ default; it becomes the constant it always was.
 The exact layers (words, orbits, graphs, coalgebra, the CLI's top level)
 import neither numpy nor the numeric modules when they load, so the
 commands that need no complex arithmetic start without numpy.
+
+The package's `__init__` is its docstring alone: every name is reached
+through the module that defines it, never through a second namespace.
 """
 
 import ast
@@ -157,3 +160,8 @@ def test_core_modules_import_no_numeric_code_at_load_time():
         if name.split(".")[0] in NUMERIC | {"numpy"}
     ]
     assert not offenders, f"core modules importing numeric code when they load: {offenders}"
+
+
+def test_package_init_binds_no_name():
+    tree = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
+    assert ast.get_docstring(tree) and len(tree.body) == 1, "__init__.py is its docstring alone"
