@@ -35,8 +35,8 @@ def _coin_arguments(parser: argparse.ArgumentParser) -> None:
     group = parser.add_argument_group("coin")
     group.add_argument("--coin", choices=("hadamard", "custom"), default="hadamard")
     group.add_argument("--theta", type=float, help="rotation angle for --coin custom")
-    group.add_argument("--phi1", type=float, default=0.0)
-    group.add_argument("--phi2", type=float, default=0.0)
+    group.add_argument("--phi1", type=float, help="phase for --coin custom (default 0)")
+    group.add_argument("--phi2", type=float, help="phase for --coin custom (default 0)")
     group.add_argument("--coin-file", help="JSON file {re: [[..]], im: [[..]]}")
 
 
@@ -52,17 +52,22 @@ def _table_arguments(parser: argparse.ArgumentParser) -> None:
 
 def _resolve_coin(args):
     from . import quantize
+    angles = (args.theta, args.phi1, args.phi2)
+    angle_given = angles != (None, None, None)
     if args.coin_file:
+        if args.coin == "custom" or angle_given:
+            raise ValueError("--coin-file takes no --coin custom and no --theta/--phi1/--phi2")
         with open(args.coin_file, encoding="utf-8") as fh:
             u = quantize.coin_from_json(json.load(fh))
         return quantize.CoinPair.from_unitary(u)
-    if args.coin == "custom":
-        if args.theta is None:
-            raise ValueError("--coin custom needs --theta (and optionally --phi1/--phi2)")
-        return quantize.CoinPair.from_unitary(
-            quantize.coin_from_angles(args.theta, args.phi1, args.phi2)
-        )
-    return quantize.hadamard_coin()
+    if args.coin == "hadamard":
+        if angle_given:
+            raise ValueError("--theta, --phi1 and --phi2 need --coin custom")
+        return quantize.hadamard_coin()
+    if args.theta is None:
+        raise ValueError("--coin custom needs --theta (and optionally --phi1/--phi2)")
+    theta, phi1, phi2 = (0.0 if a is None else a for a in angles)
+    return quantize.CoinPair.from_unitary(quantize.coin_from_angles(theta, phi1, phi2))
 
 
 def _parse_psi(text: str):

@@ -6,10 +6,11 @@ with a concrete witness symbol.
 
 A coproduct table maps each alphabet symbol to a sum of length-2 tensor
 words.  Reading every summand x (x) y as a directed arrow x -> y turns a
-table into a directed graph; conversely `markov_pair` builds the two
-out-edge/in-edge coproducts of any directed graph without sources or sinks.
-A source has no in-arrow and a sink has no out-arrow; a loop v -> v counts
-as both, so a vertex whose only in-arrow is its own loop is not a source.
+table into a directed graph; conversely `markov_pair` reads the out-edge
+and in-edge coproducts off a `graphs.DirectedGraph` with no source or sink,
+and every Markov pair here is read off a graph that `graphs` builds.  A
+source has no in-arrow and a sink has no out-arrow; a loop v -> v counts as
+both, so a vertex whose only in-arrow is its own loop is not a source.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from itertools import chain
 from types import MappingProxyType
 from typing import Iterable, Mapping, Union
 
-from .graphs import EXT_SEP, de_bruijn_labels
+from .graphs import EXT_SEP, DirectedGraph, de_bruijn_graph, de_bruijn_labels, extension
 
 Scalar = Union[int, Fraction]
 Word = tuple[str, ...]
@@ -345,21 +346,19 @@ def verify_axiom(
 # Constructors and fixtures
 # ---------------------------------------------------------------------------
 
-def markov_pair(
-    vertices: Iterable[str], edges: Iterable[tuple[str, str]]
-) -> tuple[CoproductTable, CoproductTable]:
-    """Out-edge and in-edge coproducts of a directed graph.
+def markov_pair(g: DirectedGraph) -> tuple[CoproductTable, CoproductTable]:
+    """Out-edge and in-edge coproducts read off a directed graph.
 
     d v = sum of v (x) w over arrows v -> w and dt v = sum of u (x) v over
-    arrows u -> v, one unit of weight per arrow.  Graphs with a source or a
-    sink are rejected: their tables would not be total.  A source has no
-    in-arrow and a sink has no out-arrow; a loop counts as both.
+    arrows u -> v, one unit of weight per arrow; the alphabet is the sorted
+    vertex set.  Graphs with a source or a sink are rejected: their tables
+    would not be total.  A source has no in-arrow and a sink has no
+    out-arrow; a loop counts as both.
     """
-    vertices = tuple(vertices)
-    edge_set = set(edges)
+    vertices = tuple(sorted(g.vertices))
     out_rules: dict[str, list[tuple[Word, Scalar]]] = {v: [] for v in vertices}
     in_rules: dict[str, list[tuple[Word, Scalar]]] = {v: [] for v in vertices}
-    for u, w in sorted(edge_set):
+    for u, w in sorted(g.edges):
         out_rules[u].append(((u, w), 1))
         in_rules[w].append(((u, w), 1))
     for v in vertices:
@@ -372,19 +371,13 @@ def markov_pair(
     return delta, delta_tilde
 
 
-def de_bruijn_markov_pair(p: int) -> tuple[CoproductTable, CoproductTable]:
-    """Markov coproducts of the complete loop-at-each-vertex graph on p labels."""
-    labels = de_bruijn_labels(p)
-    return markov_pair(labels, [(u, v) for u in labels for v in labels])
-
-
 def de_bruijn_counit(p: int) -> CounitTable:
     """v -> 1/p; right counit for the unweighted De Bruijn Markov coproduct."""
     return CounitTable({v: Fraction(1, p) for v in de_bruijn_labels(p)})
 
 
 def extension_coproduct(p: int) -> CoproductTable:
-    """Coassociative coproduct on edge symbols i|j of the p-label De Bruijn graph."""
+    """The paper's coassociative d(i|j) = sum over l of (i|l) (x) (l|j), on De Bruijn edges i|j."""
     labels = de_bruijn_labels(p)
     alphabet = tuple(i + EXT_SEP + j for i in labels for j in labels)
     rules = {
@@ -425,9 +418,9 @@ def counit_e() -> CounitTable:
 
 
 def markov_pair_e() -> tuple[CoproductTable, CoproductTable]:
-    """Markov pair of the four-letter graph, whose arrows are the summands of `coproduct_e`."""
-    arrows = [word for image in coproduct_e().rules.values() for word in image.words()]
-    return markov_pair(FOUR_LETTERS, arrows)
+    """Markov pair read off the four-letter graph, the extension of the two-label De Bruijn graph."""
+    edges = [(LETTER_OF[u], LETTER_OF[w]) for u, w in extension(de_bruijn_graph(2)).edges]
+    return markov_pair(DirectedGraph.build(FOUR_LETTERS, edges))
 
 
 def flower_coproducts() -> tuple[CoproductTable, CoproductTable]:
@@ -452,9 +445,9 @@ def markov_fixtures() -> dict[str, tuple[CoproductTable, CoproductTable]]:
     triangle = [("1", "1"), ("x0", "x1"), ("x1", "x2"), ("x2", "x0")]
     fixtures = {
         "extension-four-letter": markov_pair_e(),
-        "triangle": markov_pair(("1", "x0", "x1", "x2"), triangle),
+        "triangle": markov_pair(DirectedGraph.build(("1", "x0", "x1", "x2"), triangle)),
         "flower-3": flower_coproducts(),
     }
     for p in range(2, 6):
-        fixtures[f"de-bruijn-{p}"] = de_bruijn_markov_pair(p)
+        fixtures[f"de-bruijn-{p}"] = markov_pair(de_bruijn_graph(p))
     return fixtures

@@ -107,10 +107,6 @@ class StochMatrix:
         m = self.dimension
         return all(sum(self.rows[i][j] for i in range(m)) == 1 for j in range(m))
 
-    def __getitem__(self, ij: tuple[int, int]) -> Fraction:
-        i, j = ij
-        return self.rows[i][j]
-
     def to_csv(self) -> str:
         lines = [",".join(_fraction_str(x) for x in row) for row in self.rows]
         return "\n".join(lines) + "\n"

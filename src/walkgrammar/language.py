@@ -23,10 +23,9 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass
 
 from . import coalgebra
-from .coalgebra import CoproductTable, FormalSum
+from .coalgebra import CoproductTable
 from .graphs import EXT_SEP
 
 WORD_TIME_MAX = 24
@@ -151,86 +150,3 @@ def _pq_words(t: int, p_count: int):
             symbols[i] = "P"
         yield "".join(symbols)
 
-
-LEMMAS = (
-    "lemma-sum-ab",
-    "lemma-sum-cd",
-    "lemma-contraction-mult",
-    "mixed-coassoc",
-    "corollary-equality",
-)
-
-
-@dataclass(frozen=True)
-class LemmaReport:
-    lemma: str
-    ok: bool
-    checked: int
-    failures: tuple[str, ...] = ()
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
-def check_lemma(lemma: str, depth: int = 1) -> LemmaReport:
-    """Exact checks of the grammar lemmas.
-
-    lemma-sum-ab / lemma-sum-cd: the two coproducts agree on a+b and c+d.
-    lemma-contraction-mult: appending P or Q to a contraction equals the
-    contraction of the extended word, plus the summed corollary
-    C(x)(P+Q) = C(applying the Markov rule to x).
-    mixed-coassoc: (id (x) coassoc) after markov = (id (x) markov) after
-    markov, letter by letter.
-    corollary-equality: rightmost iterates of the two coproducts agree on
-    a+b+c+d up to the given depth, as exact formal sums, and the depth-n
-    iterate is the multiset of 2^(n+2) words, each with coefficient 1.
-    """
-    if lemma not in LEMMAS:
-        raise ValueError(f"unknown lemma {lemma!r}")
-    if depth < 1:
-        raise ValueError("depth must be >= 1")
-    dm = grammar_table("markov")
-    dc = grammar_table("coassoc")
-    failures: list[str] = []
-    checked = 0
-
-    if lemma in ("lemma-sum-ab", "lemma-sum-cd"):
-        pair = "ab" if lemma == "lemma-sum-ab" else "cd"
-        lhs = dm.apply(pair[0]) + dm.apply(pair[1])
-        rhs = dc.apply(pair[0]) + dc.apply(pair[1])
-        checked = 1
-        if lhs != rhs:
-            failures.append(f"markov and coassociative coproducts differ on {pair[0]}+{pair[1]}")
-    elif lemma == "lemma-contraction-mult":
-        for x in LETTERS:
-            for y, factor in itertools.product(SUCCESSORS[x], "PQ"):
-                z = LETTER[WINDOW[y][1] + factor]
-                checked += 1
-                if contract(x + y) + factor != contract(x + y + z):
-                    failures.append(f"C({x}{y}){factor} != C({x}{y}{z})")
-        for x in LETTERS:
-            checked += 1
-            lhs_words = {contract(x) + "P", contract(x) + "Q"}
-            rhs_words = {contract(x + z) for z in SUCCESSORS[x]}
-            if lhs_words != rhs_words:
-                failures.append(f"C({x})(P+Q) misses the Markov image of {x}")
-    elif lemma == "mixed-coassoc":
-        for x in LETTERS:
-            checked += 1
-            base = dm.apply(x)
-            if coalgebra.apply_at(dc, base, 2) != coalgebra.apply_at(dm, base, 2):
-                failures.append(f"mixed coassociativity fails on {x}")
-    else:  # corollary-equality
-        seed = FormalSum.basis(LETTERS)
-        left = right = seed
-        for n in range(1, depth + 1):
-            left = coalgebra.iterate_rightmost(dm, left, 1)
-            right = coalgebra.iterate_rightmost(dc, right, 1)
-            checked += 1
-            if left != right:
-                failures.append(f"iterates differ at depth {n}")
-                break
-            if len(left) != 2 ** (n + 2) or any(c != 1 for _, c in left):
-                failures.append(f"depth-{n} iterate is not {2 ** (n + 2)} words of coefficient 1")
-                break
-    return LemmaReport(lemma, not failures, checked, tuple(failures))

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import walkgrammar
-from walkgrammar import coalgebra, orbits, walk
+from walkgrammar import coalgebra, graphs, orbits, walk
 from walkgrammar.cli import main
 
 from helpers import spinor_walk_distribution
@@ -490,7 +490,8 @@ def test_verify_axiom_rejects_a_second_table_on_another_alphabet(capsys, tmp_pat
     argv = ["verify", "axiom", "--axiom", axiom, "--delta", str(delta_file)]
     argv += ["--counit", str(counit_file)]
     other_file = tmp_path / "other.json"
-    other_file.write_text(json.dumps(coalgebra.de_bruijn_markov_pair(3)[0].to_json()))
+    other = coalgebra.markov_pair(graphs.de_bruijn_graph(3))[0]
+    other_file.write_text(json.dumps(other.to_json()))
     code, out, err = run_cli(capsys, *argv, "--delta-tilde", str(other_file))
     assert_one_line_error(code, out, err)
     assert err == "error: coproduct tables must share one alphabet\n"
@@ -535,6 +536,22 @@ def _command(*parts):
     return st.tuples(*(st.just(p) if isinstance(p, str) else p for p in parts))
 
 
+# Coin options that conflict: an angle without --coin custom, or a coin file
+# beside --coin custom or an angle.
+COIN_COMMAND = st.sampled_from(
+    [("walk", "run", "--steps", "3"), ("walk", "plot", "--steps", "3"), ("coin", "check")]
+)
+ANGLE_OPTION = _command(st.sampled_from(["--theta", "--phi1", "--phi2"]), ANGLE)
+CONFLICTING_COIN = st.one_of(
+    st.tuples(COIN_COMMAND, ANGLE_OPTION),
+    st.tuples(
+        COIN_COMMAND,
+        _command("--coin-file", FILE),
+        st.one_of(st.just(("--coin", "custom")), ANGLE_OPTION),
+    ),
+).map(lambda parts: sum(parts, ()))
+
+
 FUZZ_ARGV = st.one_of(
     _command("walk", st.sampled_from(["run", "plot"]), "--steps", SIZE),
     _command("walk", "run", "--symbolic", "--steps", SIZE, "--format", st.sampled_from(["json", "x"])),
@@ -555,6 +572,7 @@ FUZZ_ARGV = st.one_of(
         "verify", "axiom", "--axiom", st.sampled_from(coalgebra.AXIOMS), "--delta", FILE,
         "--delta-tilde", FILE, "--counit", FILE,
     ),
+    CONFLICTING_COIN,
 )
 
 
@@ -567,9 +585,8 @@ def fuzz_dir(tmp_path_factory):
     return root
 
 
-@settings(max_examples=60, deadline=None)
-@given(argv=FUZZ_ARGV)
-def test_cli_exit_codes_under_hostile_arguments(fuzz_dir, argv):
+def _run_hostile(fuzz_dir, argv) -> int:
+    """Run the CLI on fuzzed arguments, check the exit-code contract and return the code."""
     argv = [str(fuzz_dir / a) if a in FUZZ_FILES else a for a in argv]
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), warnings.catch_warnings():
@@ -582,3 +599,16 @@ def test_cli_exit_codes_under_hostile_arguments(fuzz_dir, argv):
     if code == 1:
         assert err.getvalue().startswith("error:") and err.getvalue().count("\n") == 1, argv
     assert "Traceback" not in out.getvalue() + err.getvalue()
+    return code
+
+
+@settings(max_examples=60, deadline=None)
+@given(argv=FUZZ_ARGV)
+def test_cli_exit_codes_under_hostile_arguments(fuzz_dir, argv):
+    _run_hostile(fuzz_dir, argv)
+
+
+@settings(max_examples=30, deadline=None)
+@given(argv=CONFLICTING_COIN)
+def test_conflicting_coin_options_never_run(fuzz_dir, argv):
+    assert _run_hostile(fuzz_dir, argv) != 0, argv

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from walkgrammar import coalgebra, language
+from walkgrammar import coalgebra, graphs, language
 from walkgrammar.coalgebra import (
     CoproductTable,
     CounitTable,
@@ -181,7 +181,7 @@ def test_degenerate_pair_satisfies_breaking_equation():
 
 def test_codialgebra_axioms_for_de_bruijn_pairs():
     for n in range(2, 6):
-        delta, delta_tilde = coalgebra.de_bruijn_markov_pair(n)
+        delta, delta_tilde = markov_pair(graphs.de_bruijn_graph(n))
         for axiom in ("codialgebra-1", "codialgebra-2", "codialgebra-3", "breaking-equation"):
             assert verify_axiom(axiom, delta, delta_tilde), (n, axiom)
 
@@ -195,7 +195,7 @@ def test_counit_laws_of_four_letter_coproduct():
 
 def test_de_bruijn_counit_is_exactly_one_over_n():
     for n in range(2, 6):
-        delta, delta_tilde = coalgebra.de_bruijn_markov_pair(n)
+        delta, delta_tilde = markov_pair(graphs.de_bruijn_graph(n))
         eps = coalgebra.de_bruijn_counit(n)
         assert eps(coalgebra.de_bruijn_labels(n)[0]) == Fraction(1, n)
         assert verify_axiom("right-counit", delta, counit=eps)
@@ -227,13 +227,14 @@ def test_apply_counit_at_contracts_one_slot():
 
 
 def test_markov_pair_rejects_sources_and_sinks():
+    graph = graphs.DirectedGraph.build
     with pytest.raises(ValueError, match="sink"):
-        markov_pair("ab", [("a", "b"), ("a", "a")])
+        markov_pair(graph("ab", [("a", "b"), ("a", "a")]))
     with pytest.raises(ValueError, match="source"):
-        markov_pair("ab", [("a", "a"), ("b", "a")])
+        markov_pair(graph("ab", [("a", "a"), ("b", "a")]))
     # A loop is an in-arrow and an out-arrow: b's only in-arrow is b -> b,
     # so b is no source and both tables are total.
-    _, delta_tilde = markov_pair("ab", [("a", "a"), ("b", "a"), ("b", "b")])
+    _, delta_tilde = markov_pair(graph("ab", [("a", "a"), ("b", "a"), ("b", "b")]))
     assert delta_tilde.rules["b"] == lift("b", "b")
 
 
@@ -276,7 +277,8 @@ def test_four_letter_tables_match_the_paper():
     rules = {x: sum_of(*images) for x, images in PAPER_COPRODUCT.items()}
     assert coalgebra.coproduct_e() == CoproductTable(("a", "b", "c", "d"), rules)
     assert coalgebra.counit_e() == CounitTable(PAPER_COUNIT)
-    assert coalgebra.markov_pair_e() == markov_pair("abcd", [tuple(w) for w in PAPER_ARROWS])
+    paper_graph = graphs.DirectedGraph.build("abcd", [tuple(w) for w in PAPER_ARROWS])
+    assert coalgebra.markov_pair_e() == markov_pair(paper_graph)
     dm, dt = coalgebra.markov_pair_e()
     assert dm.rules["c"] == sum_of("ca", "cb")
     assert dt.rules["c"] == sum_of("bc", "dc")

@@ -2,10 +2,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from walkgrammar import language, verify
-from walkgrammar.coalgebra import FormalSum, iterate_rightmost
+from walkgrammar import coalgebra, language, verify
+from walkgrammar.coalgebra import CoproductTable, FormalSum, iterate_rightmost
 from walkgrammar.language import (
-    check_lemma,
     contract,
     generate,
     word_index,
@@ -156,21 +155,38 @@ def test_bijection_with_symbolic_walk():
             assert {contract(w) for w in words_at_vertex(t, k)} == set(state.cell(k))
 
 
+LEMMA_NAMES = [
+    "lemma-sum-ab",
+    "lemma-sum-cd",
+    "lemma-contraction-mult",
+    "mixed-coassoc",
+    "corollary-equality",
+]
+
+
+def lemma_holds(name, depth=1):
+    (result,) = [c for c in verify.lemma_checks(depth) if c.name == f"lemma: {name}"]
+    return result.ok
+
+
+def test_lemma_checks_are_the_five_grammar_lemmas_in_order():
+    results = verify.lemma_checks(3)
+    assert [c.name for c in results] == [f"lemma: {name}" for name in LEMMA_NAMES]
+    assert all(results)
+
+
 def test_lemma_sums():
-    report = check_lemma("lemma-sum-ab")
-    assert report.ok
+    assert lemma_holds("lemma-sum-ab")
     dm = language.grammar_table("markov")
     dc = language.grammar_table("coassoc")
     expected = dm.apply("a") + dm.apply("b")
     assert dc.apply("a") + dc.apply("b") == expected
     assert sorted("".join(w) for w in expected.words()) == ["aa", "ab", "bc", "bd"]
-    assert check_lemma("lemma-sum-cd").ok
+    assert lemma_holds("lemma-sum-cd")
 
 
 def test_lemma_contraction_mult():
-    report = check_lemma("lemma-contraction-mult")
-    assert report.ok
-    assert report.checked == 20  # 8 identities x 2 predecessors + 4 corollary sums
+    assert lemma_holds("lemma-contraction-mult")
     for x in "bd":
         assert contract(x + "c") + "P" == contract(x + "ca")
     assert contract("b") + "P" == contract("bc")
@@ -178,17 +194,63 @@ def test_lemma_contraction_mult():
 
 
 def test_mixed_coassociativity():
-    assert check_lemma("mixed-coassoc").ok
+    assert lemma_holds("mixed-coassoc")
 
 
 def test_corollary_equality():
-    report = check_lemma("corollary-equality", depth=10)
-    assert report.ok
-    assert report.checked == 10
-    with pytest.raises(ValueError):
-        check_lemma("corollary-equality", depth=0)
-    with pytest.raises(ValueError):
-        check_lemma("nonexistent-lemma")
+    assert lemma_holds("corollary-equality", depth=10)
+
+
+def _coassoc_with(symbol, *words):
+    """The coassociative grammar table with one rule image replaced."""
+    table = language.grammar_table("coassoc")
+    image = FormalSum([(tuple(w), 1) for w in words])
+    return CoproductTable(table.alphabet, {**table.rules, symbol: image})
+
+
+def _fault_sum_ab(monkeypatch):
+    # a -> aa + bc becomes aa + bd, so a+b no longer matches the Markov side.
+    monkeypatch.setitem(language.GRAMMAR_TABLES, "coassoc", _coassoc_with("a", "aa", "bd"))
+
+
+def _fault_sum_cd(monkeypatch):
+    monkeypatch.setitem(language.GRAMMAR_TABLES, "coassoc", _coassoc_with("c", "dc", "cb"))
+
+
+def _fault_contraction(monkeypatch):
+    # Read QP as d and QQ as c: the appended letter no longer appends its symbol.
+    monkeypatch.setattr(language, "LETTER", {**language.LETTER, "QP": "d", "QQ": "c"})
+
+
+def _fault_mixed(monkeypatch):
+    # Apply the inner coproduct at the first slot whatever slot is asked for.
+    apply_at = coalgebra.apply_at
+    monkeypatch.setattr(coalgebra, "apply_at", lambda table, s, slot: apply_at(table, s, 1))
+
+
+def _fault_corollary(monkeypatch):
+    # Drop one word from every coassociative iteration step.
+    iterate = coalgebra.iterate_rightmost
+    coassoc = language.grammar_table("coassoc")
+
+    def dropping(table, seed, n):
+        out = iterate(table, seed, n)
+        return FormalSum(list(out)[1:]) if table is coassoc else out
+
+    monkeypatch.setattr(coalgebra, "iterate_rightmost", dropping)
+
+
+@pytest.mark.parametrize(
+    "name, fault",
+    zip(
+        LEMMA_NAMES,
+        [_fault_sum_ab, _fault_sum_cd, _fault_contraction, _fault_mixed, _fault_corollary],
+    ),
+)
+def test_each_lemma_check_fails_under_its_fault(monkeypatch, name, fault):
+    assert lemma_holds(name, depth=3)
+    fault(monkeypatch)
+    assert not lemma_holds(name, depth=3)
 
 
 def test_verify_ties_the_grammar_to_the_walk_cells(monkeypatch):
