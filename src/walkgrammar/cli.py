@@ -214,14 +214,23 @@ def cmd_orbits_enumerate(args) -> int:
     return 0
 
 
+def _pattern(letters: str) -> orbits.Pattern:
+    """The CLI's pattern, refused past the length cap before it is built."""
+    if len(letters) > orbits.PATTERN_MAX_LETTERS:
+        raise ValueError(
+            f"pattern of {len(letters)} letters exceeds the cap {orbits.PATTERN_MAX_LETTERS}"
+        )
+    return orbits.Pattern(letters)
+
+
 def cmd_orbits_read(args) -> int:
-    pattern = orbits.Pattern(args.pattern)
+    pattern = _pattern(args.pattern)
     _emit_table(WORD_COLUMNS, _word_rows(orbits.read(pattern)), args)
     return 0
 
 
 def cmd_orbits_decompose(args) -> int:
-    pattern = orbits.Pattern(args.pattern)
+    pattern = _pattern(args.pattern)
     dec = orbits.decompose(pattern)
     pieces = [p.letters for p in dec.fundamentals()]
     conserved = sum(
@@ -310,6 +319,9 @@ def cmd_verify_axiom(args) -> int:
     return 1
 
 
+PATTERN_HELP = f"a closed letter cycle of at most {orbits.PATTERN_MAX_LETTERS} letters"
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="walkgrammar",
@@ -359,11 +371,11 @@ def build_parser() -> argparse.ArgumentParser:
     _table_arguments(p_enum)
     p_enum.set_defaults(func=cmd_orbits_enumerate)
     p_read = orbits_sub.add_parser("read", help="cyclic windows of a pattern")
-    p_read.add_argument("--pattern", required=True)
+    p_read.add_argument("--pattern", required=True, help=PATTERN_HELP)
     _table_arguments(p_read)
     p_read.set_defaults(func=cmd_orbits_read)
     p_dec = orbits_sub.add_parser("decompose", help="peel into fundamental orbits")
-    p_dec.add_argument("--pattern", required=True)
+    p_dec.add_argument("--pattern", required=True, help=PATTERN_HELP)
     _table_arguments(p_dec)
     p_dec.set_defaults(func=cmd_orbits_decompose)
     p_over = orbits_sub.add_parser("verify", help="run the orbit invariant suite")

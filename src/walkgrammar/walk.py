@@ -31,7 +31,20 @@ products start each entry from +0).  The sign of a zero never changes a
 nonzero sum or product, so printed probabilities do not change.
 
 One kernel, `_advance`, writes the two outer products into preallocated
-buffers; `run_numeric` swaps two of them from step to step.
+buffers.  It works on entry planes, shape (2, 2, cells): plane (r, c)
+holds entry (r, c) of every cell, and for each row r its four numpy
+calls on the (2, cells) slice run contiguous inner loops over the
+cells.  On (cells, 2, 2) storage the same calls broadcast over an inner
+axis of length 2 and pay numpy's loop overhead once per cell; on whole
+(2, 2, cells) slices numpy copies the operands through iterator
+buffers, which doubles peak memory.  Each entry still gets the same two
+products and the same one addition, so the planes hold the same bytes.
+Past about 2000 steps the walk's tails hold subnormal doubles, whose
+arithmetic is slow on many x86 CPUs; no layout that keeps the bytes
+avoids that cost.  `run_numeric` swaps two plane buffers from step to
+step and copies the result into the spare one in the (cells, 2, 2)
+layout of `NumericState`; `step_numeric` runs the kernel on transposed
+views of that layout.
 """
 
 from __future__ import annotations
@@ -51,7 +64,7 @@ from .quantize import CoinPair
 PROB_TOL = 1e-10
 UNITARITY_TOL = 1e-10
 COMMUTATOR_TOL = 1e-14
-# Three (steps + 1, 2, 2) complex buffers: ~19 MB at the cap.
+# run_numeric holds three (2, 2, steps + 1) complex buffers: 6.4 MB each, 19.2 MB at the cap.
 NUMERIC_MAX_STEPS = 100_000
 
 
@@ -135,18 +148,27 @@ class NumericState:
 
 
 def _advance(src: np.ndarray, dst: np.ndarray, tmp: np.ndarray, coin: CoinPair) -> None:
-    """Write the m + 1 cells after src's m cells into dst[:m + 1]; tmp holds m cells."""
-    m = len(src)
-    np.multiply(src[:, :, 0, None], coin.P[0], out=dst[:m])
-    dst[m] = 0
-    np.multiply(src[:, :, 1, None], coin.Q[1], out=tmp[:m])
-    dst[1 : m + 1] += tmp[:m]
+    """Write the m + 1 cells after src's m cells into dst[..., :m + 1]; tmp holds m cells.
+
+    All three are entry planes, shape (2, 2, cells), taken one row r at a time.
+    """
+    m = src.shape[2]
+    for s, d, t in zip(src, dst, tmp):
+        np.multiply(s[0], coin.P[0][:, None], out=d[:, :m])
+        d[:, m] = 0
+        np.multiply(s[1], coin.Q[1][:, None], out=t[:, :m])
+        d[:, 1 : m + 1] += t[:, :m]
+
+
+def _planes(amps: np.ndarray) -> np.ndarray:
+    """Entry-plane view of (cells, 2, 2) storage."""
+    return amps.transpose(1, 2, 0)
 
 
 def step_numeric(s: NumericState, coin: CoinPair) -> NumericState:
     n = s.time
     amps = np.empty((n + 2, 2, 2), dtype=complex)
-    _advance(s.amps, amps, np.empty_like(s.amps), coin)
+    _advance(_planes(s.amps), _planes(amps), np.empty((2, 2, n + 1), dtype=complex), coin)
     return NumericState(n + 1, amps)
 
 
@@ -155,12 +177,14 @@ def run_numeric(coin: CoinPair, steps: int) -> NumericState:
         raise ValueError("steps must be >= 0")
     if steps > NUMERIC_MAX_STEPS:
         raise ValueError(f"numeric walk capped at {NUMERIC_MAX_STEPS} steps, got {steps}")
-    cur, nxt, tmp = (np.empty((steps + 1, 2, 2), dtype=complex) for _ in range(3))
-    cur[0] = np.eye(2)
+    cur, nxt, tmp = (np.empty((2, 2, steps + 1), dtype=complex) for _ in range(3))
+    cur[:, :, 0] = np.eye(2)
     for n in range(steps):
-        _advance(cur[: n + 1], nxt, tmp, coin)
+        _advance(cur[:, :, : n + 1], nxt, tmp, coin)
         cur, nxt = nxt, cur
-    return NumericState(steps, cur)
+    amps = nxt.reshape(steps + 1, 2, 2)
+    _planes(amps)[...] = cur
+    return NumericState(steps, amps)
 
 
 def word_matrix(word: str, coin: CoinPair) -> np.ndarray:
@@ -197,7 +221,8 @@ def unitarity_defect(s: NumericState) -> float:
 def distribution(s: NumericState, psi: Sequence[complex]) -> dict[int, float]:
     """Probability per vertex for initial spinor psi: ||cell(k) psi||^2."""
     psi = np.asarray(psi, dtype=complex).reshape(2)
-    if not abs(np.linalg.norm(psi) - 1.0) <= PROB_TOL:
+    # hypot neither overflows nor warns; NaN and inf fail the tolerance.
+    if not abs(math.hypot(*psi.real, *psi.imag) - 1.0) <= PROB_TOL:
         raise ValueError("initial spinor must have unit norm")
     vectors = s.amps @ psi
     probs = np.sum(np.abs(vectors) ** 2, axis=1)

@@ -364,6 +364,20 @@ def test_coin_file_with_infinite_entry_is_one_line_error(tmp_path):
     assert_one_line_error(done.returncode, done.stdout, done.stderr)
 
 
+@pytest.mark.parametrize("command", ["run", "plot"])
+def test_huge_spinor_is_one_line_error(command):
+    # In-process runs show a numpy warning once per process, so only a fresh
+    # interpreter shows whether the norm check warns.
+    src = str(Path(walkgrammar.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-m", "walkgrammar.cli", "walk", command, "--steps", "3",
+         "--psi", "1e200,0,0,0"],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=60,
+    )
+    assert_one_line_error(done.returncode, done.stdout, done.stderr)
+    assert done.stderr == "error: initial spinor must have unit norm\n"
+
+
 def test_coin_file_of_wrong_shape_is_rejected(capsys, tmp_path):
     coin_file = tmp_path / "coin.json"
     coin_file.write_text("[1, 2]")

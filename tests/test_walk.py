@@ -116,6 +116,13 @@ def test_run_numeric_equals_the_matmul_recurrence_for_hadamard():
         assert np.array_equal(run_numeric(coin, steps).amps, matmul_walk(coin, steps))
 
 
+def test_run_numeric_equals_the_matmul_recurrence_for_a_complex_coin_at_2000_steps():
+    coin = CoinPair.from_unitary(coin_from_angles(0.7, 0.3, -1.1))
+    amps = run_numeric(coin, 2000).amps
+    assert amps.shape == (2001, 2, 2) and amps.flags.c_contiguous
+    assert np.array_equal(amps, matmul_walk(coin, 2000))
+
+
 ANGLE = st.floats(-math.pi, math.pi, allow_nan=False)
 
 
