@@ -15,6 +15,7 @@ both, so a vertex whose only in-arrow is its own loop is not a source.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
@@ -215,7 +216,8 @@ def _scalar_to_json(c: Scalar):
 
 
 def _scalar_from_json(c) -> Scalar:
-    if isinstance(c, str):
+    # Fraction also parses exponents, and "1e10000000" builds a ten-million-digit integer.
+    if isinstance(c, str) and re.fullmatch(r"-?[0-9]+(/[0-9]+)?", c):
         try:
             return Fraction(c)
         except ZeroDivisionError:

@@ -8,6 +8,12 @@ path word with the unique letter that returns to its start; growth
 applies the coassociative coproduct at every cyclic position, producing
 all patterns one letter longer; decomposition peels a pattern into
 simple cycles and regluing splices them back into it.
+
+Patterns are the periodic points of x -> 2x mod 1 (`periodic_point`): a
+length-t pattern's first symbols, read as bits with P = 0 and Q = 1, give
+m and x = m / (2^t - 1).  Doubling rotates the t bits, so the length-t
+patterns are the doubling orbits of the 2^t points m / (2^t - 1), exactly
+on [0, 1] with 1 fixed; on the circle a^t (x = 0) and d^t (x = 1) meet.
 """
 
 from __future__ import annotations
@@ -24,6 +30,8 @@ from .language import pq_index, require_word_time, vertices
 # 2.1 MB in 0.17 s at 24 MiB peak RSS, against 32 MB, 1.2 s and 146 MiB at
 # 4096 letters (2 CPUs).
 PATTERN_MAX_LETTERS = 1024
+
+_FIRST_SYMBOL = str.maketrans({x: window[0] for x, window in WINDOW.items()})
 
 
 def _least_rotation(s: str) -> str:
@@ -60,7 +68,13 @@ class Pattern:
 
 def orbit_index(p: Pattern) -> int:
     """Index of the cycle's first symbols, one per letter; rotation invariant."""
-    return pq_index("".join([WINDOW[x][0] for x in p.letters]))
+    return pq_index(p.letters.translate(_FIRST_SYMBOL))
+
+
+def periodic_point(p: Pattern) -> Fraction:
+    """Point m / (2^t - 1) of the doubling map; m reads p's first symbols as bits, P = 0, Q = 1."""
+    bits = p.letters.translate(_FIRST_SYMBOL).replace("P", "0").replace("Q", "1")
+    return Fraction(int(bits, 2), 2 ** len(p.letters) - 1)
 
 
 def primitive_root(p: Pattern) -> tuple[Pattern, int]:

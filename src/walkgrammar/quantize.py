@@ -29,7 +29,9 @@ def assert_unitary(u: np.ndarray) -> np.ndarray:
         raise ValueError(f"expected a square matrix, got shape {u.shape}")
     if not np.all(np.isfinite(u)):
         raise ValueError("matrix is not unitary (non-finite entry)")
-    defect = np.max(np.abs(u @ u.conj().T - np.eye(u.shape[0])))
+    # Huge finite entries overflow to inf and NaN; the tolerance refuses both.
+    with np.errstate(all="ignore"):
+        defect = np.max(np.abs(u @ u.conj().T - np.eye(u.shape[0])))
     if not defect <= MATRIX_TOL:
         raise ValueError(f"matrix is not unitary (defect {defect:.3e})")
     return u
@@ -213,7 +215,7 @@ def coin_from_json(obj) -> np.ndarray:
     try:
         re = np.asarray(obj["re"], dtype=float)
         im = np.asarray(obj["im"], dtype=float)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ValueError("coin JSON blocks re and im must be matrices of numbers") from None
     if re.shape != im.shape:
         raise ValueError("re and im blocks must have the same shape")

@@ -211,10 +211,6 @@ def walk_checks(max_t: int) -> list[CheckResult]:
             f"max deviation {report.max_deviation:.2e}",
         )
     )
-
-    rng = np.random.default_rng(7)
-    bits = [int(b) for b in rng.integers(0, 2, size=24)]
-    results.append(CheckResult("shift conjugacy bound", bool(walk.shift_conjugacy_check(bits))))
     return results
 
 
@@ -282,6 +278,22 @@ def orbit_checks(max_t: int) -> list[CheckResult]:
         for k, pats in groups.items()
     )
     results.append(CheckResult("orbit counting bound", ok))
+
+    embedded = on_vertex = True
+    for t, groups in by_index.items():
+        full, points = 2**t - 1, []
+        for k, pats in groups.items():
+            for p in pats:
+                x = orbits.periodic_point(p)
+                m = x.numerator * (full // x.denominator)
+                # x -> 2^i x mod 1 on numerators; x = 1 is its own fixed point.
+                orbit = {(m << i) % full for i in range(t)} if m < full else {m}
+                points += orbit
+                on_vertex = on_vertex and {n.bit_count() for n in orbit} == {(t + k) // 2}
+        # Disjoint orbits that cover all points m / full: each m in 0..full once.
+        embedded = embedded and sorted(points) == list(range(full + 1))
+    results.append(CheckResult("patterns are the periodic orbits of x -> 2x mod 1", embedded))
+    results.append(CheckResult("vertex k holds the orbits with (t + k)/2 ones", on_vertex))
 
     fundamentals = orbits.fundamental_orbits()
     expected = {orbits.Pattern(s) for s in ("a", "d", "bc", "abc", "bdc", "abdc")}

@@ -52,7 +52,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
@@ -230,41 +229,6 @@ def distribution(s: NumericState, psi: Sequence[complex]) -> dict[int, float]:
     if not abs(total - 1.0) <= PROB_TOL:
         raise ValueError(f"probabilities sum to {total!r}, expected 1")
     return {k: float(p) for k, p in zip(vertices(s.time), probs)}
-
-
-@dataclass(frozen=True)
-class ConjugacyReport:
-    """Truncated check that the bit shift maps to doubling mod 1."""
-
-    phi: Fraction
-    doubled: Fraction
-    phi_shifted: Fraction
-    residual: Fraction
-    bound: Fraction
-    ok: bool
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
-def shift_conjugacy_check(bits: Sequence[int]) -> ConjugacyReport:
-    """Compare Phi(shifted bits) with 2 Phi(bits) mod 1, exactly.
-
-    Phi truncates the binary expansion at the given length, so the two
-    sides may differ by at most 2^-(L-1).
-    """
-    bits = [int(b) for b in bits]
-    if len(bits) < 2:
-        raise ValueError("need at least two bits")
-    if set(bits) - {0, 1}:
-        raise ValueError("bits must be 0 or 1")
-    length = len(bits)
-    phi = sum(Fraction(b, 2 ** (i + 1)) for i, b in enumerate(bits))
-    doubled = (2 * phi) % 1
-    phi_shifted = sum(Fraction(b, 2 ** (i + 1)) for i, b in enumerate(bits[1:]))
-    residual = abs(phi_shifted - doubled)
-    bound = Fraction(1, 2 ** (length - 1))
-    return ConjugacyReport(phi, doubled, phi_shifted, residual, bound, residual <= bound)
 
 
 # ---------------------------------------------------------------------------

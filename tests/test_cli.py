@@ -352,16 +352,44 @@ def test_coin_file_with_nan_entry_is_rejected(capsys, tmp_path):
     )
 
 
+HUGE_INT = "1" + "0" * 400
+
+HUGE_COIN_ERRORS = {
+    # JSON reads 1e999 as inf.
+    "1e999": "error: matrix is not unitary (non-finite entry)\n",
+    # Finite, but U U^+ overflows to inf and NaN.
+    "1e308": "error: matrix is not unitary (defect inf)\n",
+    # A Python int too large for a double.
+    HUGE_INT: "error: coin JSON blocks re and im must be matrices of numbers\n",
+}
+
+
 def test_coin_file_with_infinite_entry_is_one_line_error(tmp_path):
     # In a console run a numpy warning would add stderr lines before the error.
-    coin_file = tmp_path / "coin.json"
-    coin_file.write_text('{"re": [[1e999, 0], [0, 1]], "im": [[0, 0], [0, 0]]}')
+    src = str(Path(walkgrammar.__file__).resolve().parents[1])
+    for entry, error in HUGE_COIN_ERRORS.items():
+        coin_file = tmp_path / "coin.json"
+        coin_file.write_text(f'{{"re": [[{entry}, 0], [0, 1]], "im": [[0, 0], [0, 0]]}}')
+        done = subprocess.run(
+            [sys.executable, "-m", "walkgrammar.cli", "coin", "check", "--coin-file", str(coin_file)],
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=60,
+        )
+        assert_one_line_error(done.returncode, done.stdout, done.stderr)
+        assert done.stderr == error, entry[:10]
+
+
+def test_exponent_coefficient_is_refused_at_once(tmp_path):
+    # Fraction reads "1e10000000" as a ten-million-digit integer, which runs for minutes.
+    delta_file = tmp_path / "delta.json"
+    delta_file.write_text('{"alphabet": ["a"], "rules": {"a": [["a", "a", "1e10000000"]]}}')
     src = str(Path(walkgrammar.__file__).resolve().parents[1])
     done = subprocess.run(
-        [sys.executable, "-m", "walkgrammar.cli", "coin", "check", "--coin-file", str(coin_file)],
-        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=60,
+        [sys.executable, "-m", "walkgrammar.cli", "verify", "axiom", "--axiom", "coassociativity",
+         "--delta", str(delta_file)],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=10,
     )
     assert_one_line_error(done.returncode, done.stdout, done.stderr)
+    assert done.stderr == "error: scalar must be an int or a 'p/q' string, got '1e10000000'\n"
 
 
 @pytest.mark.parametrize("command", ["run", "plot"])
@@ -532,6 +560,8 @@ FUZZ_FILES = {
     "scalar-coin.json": '{"re": 5, "im": 5}',
     "nan-coin.json": '{"re": [[NaN, 0], [0, 1]], "im": [[0, 0], [0, 0]]}',
     "infinite-coin.json": '{"re": [[1e999, 0], [0, 1]], "im": [[0, 0], [0, 0]]}',
+    "huge-coin.json": '{"re": [[1e308, 0], [0, 1]], "im": [[0, 0], [0, 0]]}',
+    "huge-int-coin.json": f'{{"re": [[{HUGE_INT}, 0], [0, 1]], "im": [[0, 0], [0, 0]]}}',
     "row-coin.json": '{"re": [[1, 0, 0]], "im": [[0, 0, 0]]}',
     "coin-3x3.json": '{"re": [[1, 0, 0], [0, 1, 0], [0, 0, 1]], "im": [[0, 0, 0], [0, 0, 0], [0, 0, 0]]}',
     "identity-coin.json": '{"re": [[1, 0], [0, 1]], "im": [[0, 0], [0, 0]]}',

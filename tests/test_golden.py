@@ -92,6 +92,7 @@ SUBPROCESS_CASES = [
     "verify-all-4",
     "walk-run-psi-nan",
     "lang-grammar-bad",
+    "coin-huge",
 ]
 
 
@@ -105,6 +106,10 @@ def test_golden_subset_under_optimize_and_hash_seeds(seed):
             env=env, capture_output=True, timeout=120,
         )
         assert (done.returncode, done.stdout) == _expected(name), name
+        if done.returncode == 1:
+            # A console run shows warnings that an in-process run may not.
+            expected = (STDERR / f"{name}.txt").read_text(encoding="utf-8")
+            assert done.stderr.decode("utf-8") == expected.replace("{inputs}", str(INPUTS)), name
 
 
 def regenerate() -> None:

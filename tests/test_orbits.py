@@ -1,5 +1,6 @@
 import functools
 from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from walkgrammar.orbits import (
     orbit_count_lower_bound,
     orbit_index,
     orbits_at_time,
+    periodic_point,
     primitive_root,
     read,
 )
@@ -232,3 +234,76 @@ def test_primitive_root():
     assert primitive_root(Pattern("aa")) == (Pattern("a"), 2)
     assert primitive_root(Pattern("bcbc")) == (Pattern("bc"), 2)
     assert primitive_root(Pattern("abdc")) == (Pattern("abdc"), 1)
+
+
+def test_periodic_point_examples():
+    points = [periodic_point(Pattern(s)) for s in ("a", "d", "bc", "abc", "bdc")]
+    assert points == [0, 1, Fraction(1, 3), Fraction(1, 7), Fraction(3, 7)]
+
+
+# First symbol of each letter as a bit: a = PP, b = PQ, c = QP, d = QQ, P = 0, Q = 1.
+FIRST_BIT = {"a": "0", "b": "0", "c": "1", "d": "1"}
+
+
+def _point_of_letters(letters: str) -> Fraction:
+    """x of a letter cycle as written, without rotating it to its canonical form."""
+    return Fraction(int("".join(FIRST_BIT[x] for x in letters), 2), 2 ** len(letters) - 1)
+
+
+def _double(x: Fraction) -> Fraction:
+    """x -> 2x mod 1 on [0, 1], with 1 its own fixed point."""
+    return x if x == 1 else 2 * x % 1
+
+
+@pytest.mark.parametrize("t", range(2, 11))
+def test_doubling_rotates_the_pattern_by_one_letter(t):
+    for p in orbits_at_time(t):
+        s = p.letters
+        assert periodic_point(p) == _point_of_letters(s)
+        for i in range(t):
+            rotation, next_rotation = s[i:] + s[:i], s[i + 1 :] + s[: i + 1]
+            assert _double(_point_of_letters(rotation)) == _point_of_letters(next_rotation)
+
+
+def test_a_and_d_cycles_meet_on_the_circle():
+    for t in range(2, 15):
+        pats = orbits_at_time(t)
+        assert len({periodic_point(p) % 1 for p in pats}) == len(pats) - 1
+
+
+EMBEDDING = "patterns are the periodic orbits of x -> 2x mod 1"
+ON_VERTEX = "vertex k holds the orbits with (t + k)/2 ones"
+
+
+def _doubling_checks() -> dict[str, bool]:
+    return {c.name: c.ok for c in verify.orbit_checks(6) if c.name in (EMBEDDING, ON_VERTEX)}
+
+
+def _fault_power_of_two_denominator(monkeypatch):
+    # Read the bits as the terminating fraction m / 2^t instead of m / (2^t - 1).
+    point = orbits.periodic_point
+    monkeypatch.setattr(orbits, "periodic_point", lambda p: point(p) * (2 ** len(p) - 1) / 2 ** len(p))
+
+
+def _fault_missing_pattern(monkeypatch):
+    at_time = orbits.orbits_at_time
+    monkeypatch.setattr(orbits, "orbits_at_time", lambda t: at_time(t) - {max(at_time(t))})
+
+
+def _fault_negated_index(monkeypatch):
+    index = orbits.orbit_index
+    monkeypatch.setattr(orbits, "orbit_index", lambda p: -index(p))
+
+
+@pytest.mark.parametrize(
+    "fault, expected",
+    [
+        (_fault_power_of_two_denominator, {EMBEDDING: False, ON_VERTEX: False}),
+        (_fault_missing_pattern, {EMBEDDING: False, ON_VERTEX: True}),
+        (_fault_negated_index, {EMBEDDING: True, ON_VERTEX: False}),
+    ],
+)
+def test_each_doubling_check_fails_under_its_fault(monkeypatch, fault, expected):
+    assert _doubling_checks() == {EMBEDDING: True, ON_VERTEX: True}
+    fault(monkeypatch)
+    assert _doubling_checks() == expected

@@ -1,5 +1,4 @@
 import math
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -24,7 +23,6 @@ from walkgrammar.walk import (
     initial_symbolic,
     run_numeric,
     run_symbolic,
-    shift_conjugacy_check,
     step_numeric,
     step_symbolic,
     unitarity_defect,
@@ -229,35 +227,6 @@ def test_evaluate_matches_numeric_run_at_t4():
 
 def test_unitarity_at_long_times():
     assert unitarity_defect(run_numeric(hadamard_coin(), 200)) < 1e-10
-
-
-def test_shift_conjugacy_exact_case():
-    report = shift_conjugacy_check([1, 0, 0, 0, 0, 0, 0, 0])
-    assert report.phi == Fraction(1, 2)
-    assert report.doubled == 0
-    assert report.phi_shifted == 0
-    assert report.residual == 0
-
-
-def test_shift_conjugacy_alternating_bits():
-    bits = [0, 1] * 10
-    report = shift_conjugacy_check(bits)
-    assert abs(report.phi - Fraction(1, 3)) < Fraction(1, 2**19)
-    assert report.ok
-
-
-def test_shift_conjugacy_random_bits():
-    rng = np.random.default_rng(8)
-    for _ in range(50):
-        bits = [int(b) for b in rng.integers(0, 2, size=20)]
-        assert shift_conjugacy_check(bits).ok
-
-
-def test_shift_conjugacy_input_validation():
-    with pytest.raises(ValueError):
-        shift_conjugacy_check([1])
-    with pytest.raises(ValueError):
-        shift_conjugacy_check([0, 2])
 
 
 def test_commutator_identity_on_basis_element():
