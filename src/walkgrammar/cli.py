@@ -14,6 +14,13 @@ exact dyadic fractions.  `walk run --symbolic` takes its probabilities from
 the same numeric stepper, so they equal those of `walk run` digit for digit;
 only the word column comes from the symbolic walk.
 
+`walk plot` draws the same distribution from one FFT of the walk's transfer
+matrix (`walk.fourier_distribution`), in O(n log n) time where the stepper
+takes O(n^2).  Its bar heights are accurate in absolute terms, as the
+stepper's are (within 1e-14 of the exact Hadamard probabilities at 2000
+steps), not to a number of significant digits: cells far below the peak are
+noise.  The SVG rounds every bar to 0.01 px.
+
 Only `walk run`, `walk plot`, `coin check`, `verify all` and `orbits verify`
 import numpy, with `quantize`, `walk` and `verify`, inside the command: they
 need complex coin entries or the walk's amplitudes.  The word, orbit, graph
@@ -168,7 +175,7 @@ def cmd_walk_plot(args) -> int:
     from . import walk
     coin = _resolve_coin(args)
     psi = _parse_psi(args.psi)
-    dist = walk.distribution(walk.run_numeric(coin, args.steps), psi)
+    dist = walk.fourier_distribution(coin, args.steps, psi)
     title = f"walk distribution, {args.steps} steps"
     _emit(_distribution_svg(dist, title), args)
     return 0
@@ -344,7 +351,13 @@ def build_parser() -> argparse.ArgumentParser:
     _table_arguments(p_run)
     p_run.set_defaults(func=cmd_walk_run)
 
-    p_plot = walk_sub.add_parser("plot", help="SVG bar chart of the distribution")
+    p_plot = walk_sub.add_parser(
+        "plot",
+        help="SVG bar chart of the distribution",
+        description="Write an SVG bar chart of the position distribution after N steps. "
+        "Bar heights are accurate in absolute terms, not to significant digits, and are "
+        "rounded to 0.01 px.",
+    )
     _coin_arguments(p_plot)
     p_plot.add_argument("--steps", type=int, required=True)
     p_plot.add_argument("--psi", default="1,0,0,0")

@@ -15,14 +15,15 @@ both, so a vertex whose only in-arrow is its own loop is not a source.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 from types import MappingProxyType
 from typing import Iterable, Mapping, Union
 
-from .graphs import EXT_SEP, DirectedGraph, de_bruijn_graph, de_bruijn_labels, extension
+from .graphs import (
+    EXT_SEP, DirectedGraph, de_bruijn_graph, de_bruijn_labels, extension, scalar_from_text,
+)
 
 Scalar = Union[int, Fraction]
 Word = tuple[str, ...]
@@ -216,12 +217,8 @@ def _scalar_to_json(c: Scalar):
 
 
 def _scalar_from_json(c) -> Scalar:
-    # Fraction also parses exponents, and "1e10000000" builds a ten-million-digit integer.
-    if isinstance(c, str) and re.fullmatch(r"-?[0-9]+(/[0-9]+)?", c):
-        try:
-            return Fraction(c)
-        except ZeroDivisionError:
-            raise ValueError(f"scalar {c!r} has a zero denominator") from None
+    if isinstance(c, str):
+        return scalar_from_text(c)
     if isinstance(c, int):
         return c
     raise ValueError(f"scalar must be an int or a 'p/q' string, got {c!r}")

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
@@ -72,7 +73,24 @@ def extension(g: DirectedGraph) -> DirectedGraph:
     return DirectedGraph.build(names.values(), new_edges)
 
 
+# Exact scalars as text.  Fraction also parses exponents and decimals, and
+# "1e10000000" builds a ten-million-digit integer before anything can refuse it.
+_SCALAR_TEXT = re.compile(r"-?[0-9]+(/[0-9]+)?")
+
+
+def scalar_from_text(text: str) -> Fraction:
+    """An integer or 'p/q' string as a Fraction; any other text is refused unparsed."""
+    if not _SCALAR_TEXT.fullmatch(text):
+        raise ValueError(f"scalar must be an int or a 'p/q' string, got {text!r}")
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"scalar {text!r} has a zero denominator") from None
+
+
 def _as_fraction(x) -> Fraction:
+    if isinstance(x, str):
+        return scalar_from_text(x)
     if isinstance(x, float):
         raise TypeError("stochastic matrices are exact; pass Fraction, int or 'p/q'")
     return Fraction(x)

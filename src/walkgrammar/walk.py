@@ -12,6 +12,22 @@ sorted, so a new cell merges two sorted runs (ending in P and in Q, so
 disjoint), which `sorted` does in linear time.  Numeric states carry the
 summed 2x2 matrix per vertex.
 
+The cells at time n are the coefficients of one Laurent polynomial.  With
+the one-step transfer matrix M(z) = z^-1 P + z Q, the generating function
+C_n(z) = sum_k cell(n, k) z^k obeys C_{n+1}(z) = C_n(z) M(z), so
+C_n(z) = M(z)^n.  Substituting w = z^2 gives C_n(z) = z^-n (P + w Q)^n: the
+cell at vertex 2j - n is the w^j coefficient of a matrix polynomial of
+degree n.  `fourier_distribution` evaluates (P + w Q)^n psi at the
+2^b > n roots of unity w by binary powering and reads the coefficients back
+with one FFT, in O(n log n) time and O(n) memory.  Its error is absolute:
+like the stepper's, it grows as about n eps times the largest cell (both
+are within 1e-14 of the exact Hadamard probabilities at 2000 steps), but
+cells far below that are noise: at 600 steps the far tails are off by a
+factor of 1e150.  That suits `walk plot`, whose bars round to 0.01 px of
+a 330 px peak.  `walk run` prints 15 significant digits of every cell, so
+it keeps the O(n^2) stepper below, whose tail cells keep their relative
+accuracy (at 1000 steps its largest relative error is 2e-13).
+
 States store occupied vertices contiguously, in the order of
 `vertices(n)`: the time-n lattice -n, -n + 2, ..., n.  The lattice, the
 index `pq_index` and the word-set cap `require_word_time` are defined in
@@ -171,11 +187,15 @@ def step_numeric(s: NumericState, coin: CoinPair) -> NumericState:
     return NumericState(n + 1, amps)
 
 
-def run_numeric(coin: CoinPair, steps: int) -> NumericState:
+def _require_numeric_steps(steps: int) -> None:
     if steps < 0:
         raise ValueError("steps must be >= 0")
     if steps > NUMERIC_MAX_STEPS:
         raise ValueError(f"numeric walk capped at {NUMERIC_MAX_STEPS} steps, got {steps}")
+
+
+def run_numeric(coin: CoinPair, steps: int) -> NumericState:
+    _require_numeric_steps(steps)
     cur, nxt, tmp = (np.empty((2, 2, steps + 1), dtype=complex) for _ in range(3))
     cur[:, :, 0] = np.eye(2)
     for n in range(steps):
@@ -217,18 +237,52 @@ def unitarity_defect(s: NumericState) -> float:
     return float(np.max(np.abs(gram - np.eye(2))))
 
 
-def distribution(s: NumericState, psi: Sequence[complex]) -> dict[int, float]:
-    """Probability per vertex for initial spinor psi: ||cell(k) psi||^2."""
+def _checked_distribution(time: int, psi: Sequence[complex], spinors) -> dict[int, float]:
+    """||v_k||^2 per vertex, where spinors(psi) gives the time-`time` cell spinors v_k,
+    shape (2, time + 1); psi and the probability sum are checked here."""
     psi = np.asarray(psi, dtype=complex).reshape(2)
     # hypot neither overflows nor warns; NaN and inf fail the tolerance.
     if not abs(math.hypot(*psi.real, *psi.imag) - 1.0) <= PROB_TOL:
         raise ValueError("initial spinor must have unit norm")
-    vectors = s.amps @ psi
-    probs = np.sum(np.abs(vectors) ** 2, axis=1)
+    probs = np.sum(np.abs(spinors(psi)) ** 2, axis=0)
     total = float(np.sum(probs))
     if not abs(total - 1.0) <= PROB_TOL:
         raise ValueError(f"probabilities sum to {total!r}, expected 1")
-    return {k: float(p) for k, p in zip(vertices(s.time), probs)}
+    return {k: float(p) for k, p in zip(vertices(time), probs)}
+
+
+def distribution(s: NumericState, psi: Sequence[complex]) -> dict[int, float]:
+    """Probability per vertex for initial spinor psi: ||cell(k) psi||^2."""
+    return _checked_distribution(s.time, psi, lambda v: (s.amps @ v).T)
+
+
+def fourier_distribution(coin: CoinPair, steps: int, psi: Sequence[complex]) -> dict[int, float]:
+    """distribution(run_numeric(coin, steps), psi) to absolute accuracy, in O(n log n).
+
+    The w^j coefficient of (P + w Q)^n psi is cell(n, 2j - n) psi (module
+    docstring); it is evaluated at `size` > n roots of unity, so the FFT
+    reads every coefficient back without aliasing.
+    """
+    _require_numeric_steps(steps)
+    size = 1 << steps.bit_length()
+
+    def spinors(v: np.ndarray) -> np.ndarray:
+        w = np.exp(2j * np.pi * np.arange(size) / size)
+        # Entry planes of M = P + w Q = [[a, b], [c, d]]; each squaring replaces M by M^2.
+        a, b = np.full(size, coin.P[0, 0]), np.full(size, coin.P[0, 1])
+        c, d = w * coin.Q[1, 0], w * coin.Q[1, 1]
+        v0, v1 = np.full(size, v[0]), np.full(size, v[1])
+        n = steps
+        while n:
+            if n & 1:
+                v0, v1 = a * v0 + b * v1, c * v0 + d * v1
+            n >>= 1
+            if n:
+                bc, trace = b * c, a + d
+                a, b, c, d = a * a + bc, b * trace, c * trace, d * d + bc
+        return np.fft.fft(np.stack([v0, v1]), axis=1)[:, : steps + 1] / size
+
+    return _checked_distribution(steps, psi, spinors)
 
 
 # ---------------------------------------------------------------------------

@@ -97,6 +97,27 @@ def test_walk_plot_svg(capsys, tmp_path):
     assert svg.count("<rect") > 6
 
 
+def test_walk_plot_does_not_run_the_stepper(capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("walk plot ran the O(n^2) stepper")
+
+    monkeypatch.setattr(walk, "run_numeric", refuse)
+    code, out, _ = run_cli(capsys, "walk", "plot", "--steps", "40")
+    assert code == 0 and out.count('<rect x="') == 41
+
+
+def test_walk_plot_at_the_step_cap_fits_in_a_gibibyte():
+    # The stepper took minutes here; the FFT engine takes well under a second.
+    src = str(Path(walkgrammar.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-m", "walkgrammar.cli", "walk", "plot", "--steps", "100000"],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=30,
+        preexec_fn=_limit_memory,
+    )
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout.count('<rect x="') == 100001
+
+
 def test_lang_generate(capsys):
     code, out, _ = run_cli(capsys, "lang", "generate", "--t", "3", "--vertex", "-1")
     assert code == 0

@@ -1,6 +1,10 @@
 import itertools
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -94,6 +98,30 @@ def test_stoch_matrix_validation():
         StochMatrix.from_rows([[1, 0]])
     with pytest.raises(TypeError):
         StochMatrix.from_rows([[0.5, 0.5], [0.5, 0.5]])
+
+
+def test_stoch_matrix_text_entries_are_integers_or_fractions():
+    assert StochMatrix.from_rows([["1/3", "2/3"], [1, "0"]]).rows == (
+        (Fraction(1, 3), Fraction(2, 3)),
+        (Fraction(1), Fraction(0)),
+    )
+    for text in ("0.5", " 1", "1/0"):
+        with pytest.raises(ValueError, match="scalar"):
+            StochMatrix.from_rows([[text]])
+
+
+def test_exponent_entry_is_refused_at_once():
+    # Fraction reads "1e10000000" as a ten-million-digit integer, which runs for minutes.
+    src = str(Path(graphs.__file__).resolve().parents[1])
+    code = "from walkgrammar.graphs import StochMatrix; StochMatrix.from_rows([['1e10000000']])"
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=10,
+    )
+    assert done.returncode == 1
+    assert done.stderr.splitlines()[-1] == (
+        "ValueError: scalar must be an int or a 'p/q' string, got '1e10000000'"
+    )
 
 
 def test_ks_entropy_zero_iff_deterministic():

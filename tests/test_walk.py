@@ -20,6 +20,7 @@ from walkgrammar.walk import (
     commutator_check,
     distribution,
     evaluate,
+    fourier_distribution,
     initial_symbolic,
     run_numeric,
     run_symbolic,
@@ -258,3 +259,111 @@ def test_distribution_rejects_nan():
     broken = walk.NumericState(1, np.full((2, 2, 2), np.nan))
     with pytest.raises(ValueError, match="sum to"):
         distribution(broken, [1, 0])
+
+
+# ---------------------------------------------------------------------------
+# The FFT engine: tied to the stepper, to Konno's limit law and to the reflection
+# ---------------------------------------------------------------------------
+
+def _unit_spinor(parts) -> np.ndarray:
+    v = np.array(parts, dtype=float)
+    v = v / np.linalg.norm(v)
+    return np.array([v[0] + 1j * v[1], v[2] + 1j * v[3]])
+
+
+SPINOR = st.lists(st.floats(-1, 1, allow_nan=False), min_size=4, max_size=4).filter(
+    lambda parts: math.fsum(x * x for x in parts) > 0.01
+)
+
+
+def _assert_close(got: dict, expected: dict, tol: float) -> None:
+    assert list(got) == list(expected)
+    assert max(abs(got[k] - expected[k]) for k in expected) <= tol
+
+
+@pytest.mark.parametrize("steps", [0, 1, 2, 5, 40, 1023, 1024, 3000])
+def test_fourier_distribution_is_the_stepper_distribution_for_hadamard(steps):
+    coin = hadamard_coin()
+    for psi in ([1, 0], [0, 1], np.array([1, 1j]) / math.sqrt(2)):
+        expected = distribution(run_numeric(coin, steps), psi)
+        _assert_close(fourier_distribution(coin, steps, psi), expected, 1e-12)
+
+
+@settings(max_examples=20, deadline=None)
+@given(theta=ANGLE, phi1=ANGLE, phi2=ANGLE, parts=SPINOR, steps=st.integers(0, 3000))
+def test_fourier_distribution_is_the_stepper_distribution(theta, phi1, phi2, parts, steps):
+    coin = CoinPair.from_unitary(coin_from_angles(theta, phi1, phi2))
+    psi = _unit_spinor(parts)
+    expected = distribution(run_numeric(coin, steps), psi)
+    _assert_close(fourier_distribution(coin, steps, psi), expected, 1e-12)
+
+
+def test_fourier_distribution_refuses_bad_requests_with_the_stepper_messages():
+    coin = hadamard_coin()
+    for steps in (-1, NUMERIC_MAX_STEPS + 1, 10**12):
+        with pytest.raises(ValueError) as stepper:
+            run_numeric(coin, steps)
+        with pytest.raises(ValueError) as engine:
+            fourier_distribution(coin, steps, [1, 0])
+        assert str(engine.value) == str(stepper.value)
+    for psi in ((1, 1), (np.nan, 0), (1e200, 0)):
+        with pytest.raises(ValueError, match="^initial spinor must have unit norm$"):
+            fourier_distribution(coin, 3, psi)
+
+
+KONNO_SPINORS = ([1, 0], [0, 1j], np.array([0.6, 0.8j]))
+
+
+def _second_moment(dist: dict[int, float], steps: int) -> float:
+    return math.fsum(p * (k / steps) ** 2 for k, p in dist.items())
+
+
+@pytest.mark.parametrize("theta", [math.pi / 4, 0.7, 1.2, 0.3])
+def test_second_moment_tends_to_konnos_limit(theta):
+    # Konno's weak limit law for X_n / n: E[(X_n / n)^2] -> 1 - |u12|, and
+    # |u12| = sin(theta) for coin_from_angles.  The gap closes like 1 / n^2.
+    coin = CoinPair.from_unitary(coin_from_angles(theta, 0.4, -1.3))
+    limit = 1 - math.sin(theta)
+    state = run_numeric(coin, 2000)
+    for psi in KONNO_SPINORS:
+        assert abs(_second_moment(fourier_distribution(coin, 20000, psi), 20000) - limit) <= 1e-7
+        assert abs(_second_moment(distribution(state, psi), 2000) - limit) <= 1e-6
+
+
+def _reflected(u: np.ndarray) -> np.ndarray:
+    """sigma_x u sigma_x: rows and columns swapped, so P and Q trade places."""
+    return u[::-1, ::-1]
+
+
+def test_reflected_coin_mirrors_the_stepper_cells_exactly_at_2000_steps():
+    # cell_{U'}(n, k) = sigma_x cell_U(n, -k) sigma_x, double for double (only
+    # the sign of an exact zero may differ).
+    u = coin_from_angles(0.7, 0.3, -1.1)
+    amps = run_numeric(CoinPair.from_unitary(u), 2000).amps
+    mirrored = run_numeric(CoinPair.from_unitary(_reflected(u)), 2000).amps
+    assert np.array_equal(mirrored, amps[::-1, ::-1, ::-1])
+
+
+@settings(max_examples=20, deadline=None)
+@given(theta=ANGLE, phi1=ANGLE, phi2=ANGLE, steps=st.integers(0, 300))
+def test_reflected_coin_mirrors_the_stepper_cells_exactly(theta, phi1, phi2, steps):
+    u = coin_from_angles(theta, phi1, phi2)
+    amps = run_numeric(CoinPair.from_unitary(u), steps).amps
+    mirrored = run_numeric(CoinPair.from_unitary(_reflected(u)), steps).amps
+    assert np.array_equal(mirrored, amps[::-1, ::-1, ::-1])
+
+
+@settings(max_examples=20, deadline=None)
+@given(theta=ANGLE, phi1=ANGLE, phi2=ANGLE, parts=SPINOR, steps=st.integers(0, 2000))
+def test_reflected_coin_mirrors_the_fourier_distribution(theta, phi1, phi2, parts, steps):
+    # p_{U'}(k, sigma_x psi) = p_U(-k, psi).  The two sides round differently,
+    # and a cell's rounding grows like n eps times its size: at theta = 0 the
+    # walk is ballistic, one cell holds everything, and at 338 steps the sides
+    # differ by 1.02e-14.
+    u = coin_from_angles(theta, phi1, phi2)
+    psi = _unit_spinor(parts)
+    dist = fourier_distribution(CoinPair.from_unitary(u), steps, psi)
+    mirrored = fourier_distribution(CoinPair.from_unitary(_reflected(u)), steps, psi[::-1])
+    eps = np.finfo(float).eps
+    for k in dist:
+        assert abs(mirrored[k] - dist[-k]) <= 1e-14 + 2 * steps * eps * dist[-k]
