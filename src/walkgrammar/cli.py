@@ -271,6 +271,8 @@ def cmd_orbits_verify(args) -> int:
 def cmd_graph_export(args) -> int:
     if (args.de_bruijn is None) == (args.bernoulli is None):
         raise ValueError("pick exactly one of --de-bruijn or --bernoulli")
+    if args.extension and args.de_bruijn is None:
+        raise ValueError("--extension needs --de-bruijn")
     if args.de_bruijn is not None:
         g = graphs.de_bruijn_graph(args.de_bruijn)
         if args.extension:
@@ -284,16 +286,15 @@ def cmd_graph_export(args) -> int:
 def cmd_coin_check(args) -> int:
     from . import quantize
     coin = _resolve_coin(args)
-    u = coin.unitary
-    channel = quantize.verify_channel(quantize.row_split(u))
-    relations = quantize.verify_pq_relations(u)
+    channel = quantize.verify_channel((coin.P, coin.Q))
+    relations = quantize.verify_pq_relations(coin)
     print(f"unitary: {'ok' if channel.ok else 'FAIL'} (max deviation {channel.max_deviation:.2e})")
     print(f"trace preserving (both sides): {channel.right_identity and channel.left_identity}")
     print(f"row orthogonality: {channel.orthogonal}")
     print(f"entry relations: {'ok' if relations.ok else 'FAIL'} "
           f"(max deviation {relations.max_deviation:.2e})")
     try:
-        _, _, lam = quantize.jones_generators(u)
+        lam = quantize.jones_parameter(coin)
         print(f"jones parameter: {lam.real!r}{lam.imag:+}j")
     except ValueError as exc:
         print(f"jones parameter: {str(exc).removeprefix('Jones generators ')}")

@@ -18,8 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
-from types import MappingProxyType
-from typing import Iterable, Mapping, Union
+from typing import Iterable, Union
 
 from .graphs import (
     EXT_SEP, DirectedGraph, de_bruijn_graph, de_bruijn_labels, extension, scalar_from_text,
@@ -48,17 +47,16 @@ class FormalSum:
 
     Zero coefficients are never stored; two sums are equal iff they carry
     the same words with the same coefficients.  Instances are immutable.
-    The constructor is the one place where terms are added up; a word's
-    factors are symbols, or (k, W) for the walk's basis term e_k (x) W.
+    The constructor is the one place where terms are added up, from
+    (word, coefficient) pairs; a word is a tuple whose factors are symbols,
+    or (k, W) for the walk's basis term e_k (x) W.
     """
 
     __slots__ = ("_terms",)
 
-    def __init__(self, terms: Mapping[Word, Scalar] | Iterable[tuple[Word, Scalar]] = ()):
+    def __init__(self, terms: Iterable[tuple[Word, Scalar]] = ()):
         acc: dict[Word, Scalar] = {}
-        items = terms.items() if isinstance(terms, Mapping) else terms
-        for word, coeff in items:
-            word = tuple(word)
+        for word, coeff in terms:
             if not word:
                 raise ValueError("tensor words must have length >= 1")
             total = acc.get(word, 0) + coeff
@@ -77,10 +75,6 @@ class FormalSum:
     def basis(cls, symbols: Iterable[str]) -> "FormalSum":
         """Sum of the length-1 words over `symbols` (e.g. a+b+c+d)."""
         return cls([((s,), 1) for s in symbols])
-
-    @property
-    def terms(self) -> Mapping[Word, Scalar]:
-        return MappingProxyType(self._terms)
 
     def words(self) -> set[Word]:
         return set(self._terms)
@@ -156,18 +150,13 @@ class CoproductTable:
     def apply(self, symbol: str) -> FormalSum:
         return self.rules[symbol]
 
-    def to_json(self) -> dict:
-        rules = {}
-        for symbol in self.alphabet:
-            rules[symbol] = [
-                [w[0], w[1], _scalar_to_json(c)]
-                for w, c in sorted(self.rules[symbol].terms.items())
-            ]
-        return {"alphabet": list(self.alphabet), "rules": rules}
-
     @classmethod
     def from_json(cls, obj) -> "CoproductTable":
-        """Inverse of `to_json`; ValueError on any other JSON shape."""
+        """Read {"alphabet": [symbols], "rules": {symbol: [[x, y, coeff], ..]}}.
+
+        Each [x, y, coeff] is the term coeff x (x) y of the symbol's image; a
+        coefficient is an int or a "p/q" string.  ValueError on any other shape.
+        """
         entries_of = obj.get("rules") if isinstance(obj, dict) else None
         if not (isinstance(entries_of, dict) and _strings(obj.get("alphabet"))):
             raise ValueError(
@@ -195,12 +184,12 @@ class CounitTable:
     def __call__(self, symbol: str) -> Scalar:
         return self.values[symbol]
 
-    def to_json(self) -> dict:
-        return {"values": {s: _scalar_to_json(c) for s, c in sorted(self.values.items())}}
-
     @classmethod
     def from_json(cls, obj) -> "CounitTable":
-        """Inverse of `to_json`; ValueError on any other JSON shape."""
+        """Read {"values": {symbol: scalar, ..}}, each scalar an int or a "p/q" string.
+
+        ValueError on any other shape.
+        """
         if not isinstance(obj, dict) or not isinstance(obj.get("values"), dict):
             raise ValueError('counit JSON must be {"values": {symbol: scalar, ..}}')
         return cls({s: _scalar_from_json(c) for s, c in obj["values"].items()})
@@ -208,12 +197,6 @@ class CounitTable:
 
 def _strings(xs) -> bool:
     return isinstance(xs, list) and all(isinstance(x, str) for x in xs)
-
-
-def _scalar_to_json(c: Scalar):
-    if isinstance(c, Fraction) and c.denominator != 1:
-        return f"{c.numerator}/{c.denominator}"
-    return int(c)
 
 
 def _scalar_from_json(c) -> Scalar:

@@ -12,7 +12,6 @@ where juxtaposition is the ordinary matrix product.
 from __future__ import annotations
 
 import cmath
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -107,10 +106,6 @@ class CoinPair:
             raise ValueError("coin unitaries are 2x2")
         return cls(*parts)
 
-    @property
-    def unitary(self) -> np.ndarray:
-        return self.P + self.Q
-
 
 def hadamard_coin() -> CoinPair:
     return CoinPair.from_unitary(hadamard())
@@ -126,9 +121,6 @@ class ChannelReport:
     @property
     def ok(self) -> bool:
         return self.right_identity and self.left_identity and self.orthogonal
-
-    def __bool__(self) -> bool:
-        return self.ok
 
 
 def verify_channel(entries) -> ChannelReport:
@@ -157,59 +149,49 @@ def verify_channel(entries) -> ChannelReport:
 class PQRelationsReport:
     ok: bool
     max_deviation: float
-    deviations: dict[str, float]
-
-    def __bool__(self) -> bool:
-        return self.ok
 
 
-def verify_pq_relations(u: np.ndarray) -> PQRelationsReport:
+def verify_pq_relations(coin: CoinPair) -> PQRelationsReport:
     """Check P^2 = u11 P, Q^2 = u22 Q, PQP = u12 u21 P, QPQ = u12 u21 Q."""
-    coin = CoinPair.from_unitary(u)
     p, q = coin.P, coin.Q
-    u = coin.unitary
-    cross = u[0, 1] * u[1, 0]
+    cross = p[0, 1] * q[1, 0]
     with np.errstate(all="ignore"):
-        deviations = {
-            "P^2 = u11 P": float(np.max(np.abs(p @ p - u[0, 0] * p))),
-            "Q^2 = u22 Q": float(np.max(np.abs(q @ q - u[1, 1] * q))),
-            "PQP = u12 u21 P": float(np.max(np.abs(p @ q @ p - cross * p))),
-            "QPQ = u12 u21 Q": float(np.max(np.abs(q @ p @ q - cross * q))),
-        }
-    # np.max keeps a NaN deviation, which fails the comparison; Python's max may drop it.
-    worst = float(np.max(list(deviations.values())))
-    return PQRelationsReport(ok=worst <= MATRIX_TOL, max_deviation=worst, deviations=deviations)
+        residuals = (
+            p @ p - p[0, 0] * p, q @ q - q[1, 1] * q, p @ q @ p - cross * p, q @ p @ q - cross * q
+        )
+        # np.max keeps a NaN residual, which fails the comparison; Python's max may drop it.
+        worst = float(np.max(np.abs(residuals)))
+    return PQRelationsReport(ok=worst <= MATRIX_TOL, max_deviation=worst)
 
 
-def jones_generators(u: np.ndarray) -> tuple[np.ndarray, np.ndarray, complex]:
-    """Normalised idempotents e1 = P/u11, e2 = Q/u22 and the Jones parameter.
+def jones_parameter(coin: CoinPair) -> complex:
+    """The Jones parameter lambda = u12 u21 / (u11 u22) of the coin.
 
-    lambda = u12 u21 / (u11 u22); the relations e1^2 = e1, e2^2 = e2,
-    e1 e2 e1 = lambda e1 and e2 e1 e2 = lambda e2 are verified within MATRIX_TOL;
-    a non-finite lambda or deviation is refused.
+    The normalised idempotents e1 = P/u11 and e2 = Q/u22 are checked to
+    satisfy e1^2 = e1, e2^2 = e2, e1 e2 e1 = lambda e1 and e2 e1 e2 =
+    lambda e2 within MATRIX_TOL; a non-finite lambda or deviation is refused.
     """
-    coin = CoinPair.from_unitary(u)
-    w = coin.unitary
-    if w[0, 0] == 0 or w[1, 1] == 0:
+    # Entries of P + Q: a row split's zeros are +0, so the sum turns any -0 part into +0;
+    # `coin check` prints the signs of lambda's zero parts, which follow these.
+    (u11, u12), (u21, u22) = coin.P + coin.Q
+    if u11 == 0 or u22 == 0:
         raise ValueError("Jones generators undefined (zero diagonal entry)")
     # Tiny diagonal entries overflow to inf and NaN; refuse those instead of warning.
     with np.errstate(all="ignore"):
-        e1 = coin.P / w[0, 0]
-        e2 = coin.Q / w[1, 1]
-        lam = complex(w[0, 1] * w[1, 0] / (w[0, 0] * w[1, 1]))
+        e1 = coin.P / u11
+        e2 = coin.Q / u22
+        lam = complex(u12 * u21 / (u11 * u22))
         residuals = (e1 @ e1 - e1, e2 @ e2 - e2, e1 @ e2 @ e1 - lam * e1, e2 @ e1 @ e2 - lam * e2)
         worst = float(np.max(np.abs(residuals)))
     if not cmath.isfinite(lam):
         raise ValueError("Jones generators undefined (non-finite Jones parameter)")
     if not worst <= MATRIX_TOL:
         raise ValueError(f"Jones generators undefined (relations violated, deviation {worst:.3e})")
-    return e1, e2, lam
+    return lam
 
 
 def coin_from_json(obj) -> np.ndarray:
     """Parse {re: [[..]], im: [[..]]} into a complex matrix; ValueError on other shapes."""
-    if isinstance(obj, str):
-        obj = json.loads(obj)
     if not isinstance(obj, dict) or not {"re", "im"} <= obj.keys():
         raise ValueError("coin JSON must be an object {re: [[..]], im: [[..]]}")
     try:

@@ -327,9 +327,10 @@ def quantize_checks() -> list[CheckResult]:
     results.append(
         CheckResult("row splits are quantum channels", ok, f"max deviation {worst:.2e}")
     )
-    report = quantize.verify_pq_relations(quantize.hadamard())
-    results.append(CheckResult("P/Q entry relations (Hadamard)", bool(report)))
-    _, _, lam = quantize.jones_generators(quantize.hadamard())
+    coin = quantize.hadamard_coin()
+    report = quantize.verify_pq_relations(coin)
+    results.append(CheckResult("P/Q entry relations (Hadamard)", report.ok))
+    lam = quantize.jones_parameter(coin)
     results.append(
         CheckResult("Jones parameter of the Hadamard coin is -1", bool(abs(lam + 1) < 1e-12))
     )

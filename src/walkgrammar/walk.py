@@ -157,10 +157,6 @@ class NumericState:
         object.__setattr__(self, "amps", a)
         a.setflags(write=False)
 
-    def cell(self, k: int) -> np.ndarray:
-        lattice = vertices(self.time)
-        return self.amps[lattice.index(k)] if k in lattice else np.zeros((2, 2), dtype=complex)
-
 
 def _advance(src: np.ndarray, dst: np.ndarray, tmp: np.ndarray, coin: CoinPair) -> None:
     """Write the m + 1 cells after src's m cells into dst[..., :m + 1]; tmp holds m cells.
@@ -304,7 +300,6 @@ class CommutatorReport:
     symbolic_ok: bool
     numeric_ok: bool
     max_deviation: float
-    words_checked: int
 
     def __bool__(self) -> bool:
         return self.symbolic_ok and self.numeric_ok
@@ -333,4 +328,4 @@ def commutator_check(coin: CoinPair) -> CommutatorReport:
         numeric_lhs = (m @ coin.Q) @ coin.P - (m @ coin.P) @ coin.Q
         dev = float(np.max(np.abs(numeric_lhs - m @ commutator)))
         max_dev = max(max_dev, dev)
-    return CommutatorReport(symbolic_ok, max_dev <= COMMUTATOR_TOL, max_dev, len(words))
+    return CommutatorReport(symbolic_ok, max_dev <= COMMUTATOR_TOL, max_dev)

@@ -13,11 +13,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import walkgrammar
-from walkgrammar import coalgebra, graphs, orbits, walk
+from walkgrammar import coalgebra, orbits, quantize, walk
 from walkgrammar.cli import main
 
 from helpers import spinor_walk_distribution
 import numpy as np
+
+
+INPUTS = Path(__file__).resolve().parent / "golden" / "inputs"
 
 
 def run_cli(capsys, *argv):
@@ -266,6 +269,28 @@ def test_coin_check_from_file(capsys, tmp_path):
     assert "undefined" in out
 
 
+@pytest.mark.parametrize(
+    "coin_options",
+    [
+        [],
+        ["--coin", "custom", "--theta", "0.7", "--phi1", "0.3"],
+        ["--coin-file", str(INPUTS / "coin.json")],
+    ],
+    ids=["hadamard", "custom", "coin-file"],
+)
+def test_coin_check_validates_and_splits_its_coin_once(capsys, monkeypatch, coin_options):
+    calls = {}
+    for name in ("assert_unitary", "row_split"):
+        def counted(u, name=name, check=getattr(quantize, name)):
+            calls[name] = calls.get(name, 0) + 1
+            return check(u)
+
+        monkeypatch.setattr(quantize, name, counted)
+    code, _, _ = run_cli(capsys, "coin", "check", *coin_options)
+    assert code == 0
+    assert calls == {"assert_unitary": 1, "row_split": 1}
+
+
 def test_verify_all(capsys):
     code, out, _ = run_cli(capsys, "verify", "all", "--max-t", "4")
     assert code == 0
@@ -274,25 +299,20 @@ def test_verify_all(capsys):
     assert lines[-1].endswith("checks passed")
 
 
-def test_verify_axiom_from_json_tables(capsys, tmp_path):
-    from walkgrammar import coalgebra
-
-    delta_file = tmp_path / "delta.json"
-    delta_file.write_text(json.dumps(coalgebra.coproduct_e().to_json()))
+def test_verify_axiom_from_json_tables(capsys):
+    delta_file = INPUTS / "coproduct-e.json"
     code, out, _ = run_cli(
         capsys, "verify", "axiom", "--axiom", "coassociativity", "--delta", str(delta_file)
     )
     assert code == 0 and out.startswith("PASS")
 
-    markov_file = tmp_path / "markov.json"
-    markov_file.write_text(json.dumps(coalgebra.markov_pair_e()[0].to_json()))
+    markov_file = INPUTS / "markov-e.json"
     code, out, _ = run_cli(
         capsys, "verify", "axiom", "--axiom", "coassociativity", "--delta", str(markov_file)
     )
     assert code == 1 and out.startswith("FAIL")
 
-    counit_file = tmp_path / "counit.json"
-    counit_file.write_text(json.dumps(coalgebra.counit_e().to_json()))
+    counit_file = INPUTS / "counit-e.json"
     code, out, _ = run_cli(
         capsys,
         "verify", "axiom", "--axiom", "right-counit",
@@ -517,10 +537,7 @@ def test_coin_check_refuses_a_non_finite_jones_parameter(tmp_path):
     ],
 )
 def test_verify_axiom_rejects_malformed_json(capsys, tmp_path, option, blob):
-    from walkgrammar import coalgebra
-
-    delta_file = tmp_path / "delta.json"
-    delta_file.write_text(json.dumps(coalgebra.coproduct_e().to_json()))
+    delta_file = INPUTS / "coproduct-e.json"
     bad_file = tmp_path / "bad.json"
     bad_file.write_text(json.dumps(blob))
     # A repeated option takes its last value, so `option` reads the bad file.
@@ -529,10 +546,7 @@ def test_verify_axiom_rejects_malformed_json(capsys, tmp_path, option, blob):
 
 
 def test_verify_axiom_names_the_symbol_a_counit_misses(capsys, tmp_path):
-    from walkgrammar import coalgebra
-
-    delta_file = tmp_path / "delta.json"
-    delta_file.write_text(json.dumps(coalgebra.coproduct_e().to_json()))
+    delta_file = INPUTS / "coproduct-e.json"
     counit_file = tmp_path / "counit.json"
     counit_file.write_text(json.dumps({"values": {"a": 1}}))
     argv = ["verify", "axiom", "--delta", str(delta_file)]
@@ -544,17 +558,14 @@ def test_verify_axiom_names_the_symbol_a_counit_misses(capsys, tmp_path):
 
 @pytest.mark.parametrize("axiom", ["coassociativity", "right-counit"])
 def test_verify_axiom_rejects_a_second_table_on_another_alphabet(capsys, tmp_path, axiom):
-    from walkgrammar import coalgebra
-
-    delta_file = tmp_path / "delta.json"
-    delta_file.write_text(json.dumps(coalgebra.coproduct_e().to_json()))
-    counit_file = tmp_path / "counit.json"
-    counit_file.write_text(json.dumps(coalgebra.counit_e().to_json()))
+    delta_file = INPUTS / "coproduct-e.json"
     argv = ["verify", "axiom", "--axiom", axiom, "--delta", str(delta_file)]
-    argv += ["--counit", str(counit_file)]
+    argv += ["--counit", str(INPUTS / "counit-e.json")]
     other_file = tmp_path / "other.json"
-    other = coalgebra.markov_pair(graphs.de_bruijn_graph(3))[0]
-    other_file.write_text(json.dumps(other.to_json()))
+    # The out-edge coproduct of the three-label De Bruijn graph: v -> v (x) w for every w.
+    labels = ["1", "2", "3"]
+    other = {"alphabet": labels, "rules": {v: [[v, w, 1] for w in labels] for v in labels}}
+    other_file.write_text(json.dumps(other))
     code, out, err = run_cli(capsys, *argv, "--delta-tilde", str(other_file))
     assert_one_line_error(code, out, err)
     assert err == "error: coproduct tables must share one alphabet\n"
@@ -589,9 +600,9 @@ FUZZ_FILES = {
     "float-coefficient.json": '{"alphabet": ["a"], "rules": {"a": [["a", "a", 1.5]]}}',
     "zero-denominator.json": '{"alphabet": ["a"], "rules": {"a": [["a", "a", "1/0"]]}}',
     "partial-table.json": '{"alphabet": ["a", "b"], "rules": {"a": [["a", "a", 1]]}}',
-    "coproduct-e.json": json.dumps(coalgebra.coproduct_e().to_json()),
+    "coproduct-e.json": (INPUTS / "coproduct-e.json").read_text(encoding="utf-8"),
     "counit-text-value.json": '{"values": {"a": "x"}}',
-    "counit-e.json": json.dumps(coalgebra.counit_e().to_json()),
+    "counit-e.json": (INPUTS / "counit-e.json").read_text(encoding="utf-8"),
     "missing.json": None,
 }
 FILE = st.sampled_from(sorted(FUZZ_FILES))
@@ -633,6 +644,7 @@ FUZZ_ARGV = st.one_of(
     _command("verify", "all", "--max-t", MAX_T),
     _command("graph", "export", st.sampled_from(["--de-bruijn", "--bernoulli"]), SIZE),
     _command("graph", "export", "--extension", "--de-bruijn", SIZE),
+    _command("graph", "export", "--extension", "--bernoulli", SIZE),
     _command(
         "verify", "axiom", "--axiom", st.sampled_from(coalgebra.AXIOMS), "--delta", FILE,
         "--delta-tilde", FILE, "--counit", FILE,

@@ -9,7 +9,7 @@ from walkgrammar.quantize import (
     coin_from_json,
     hadamard,
     hadamard_coin,
-    jones_generators,
+    jones_parameter,
     random_unitary,
     row_split,
     verify_channel,
@@ -65,7 +65,7 @@ def test_pointwise_link_to_x_decomposition():
 
 def test_coin_pair_invariants():
     coin = hadamard_coin()
-    assert np.array_equal(coin.P + coin.Q, coin.unitary)
+    assert np.array_equal(coin.P + coin.Q, hadamard())
     assert np.all(coin.P[1] == 0) and np.all(coin.Q[0] == 0)
     with pytest.raises(ValueError):
         CoinPair(np.ones((2, 2)), np.zeros((2, 2)))
@@ -82,38 +82,45 @@ def test_verify_channel_cases():
 
 
 def test_pq_relations_hadamard():
-    report = verify_pq_relations(hadamard())
-    assert report.ok
+    report = verify_pq_relations(hadamard_coin())
+    assert report.ok and report.max_deviation < 1e-15
     # P^2 = u11 P with u11 = 1/sqrt(2), checked directly.
     coin = hadamard_coin()
     np.testing.assert_allclose(coin.P @ coin.P, RT2 * coin.P, atol=1e-15)
 
 
 def test_pq_relations_diagonal_and_antidiagonal():
-    diag = np.diag([np.exp(0.3j), np.exp(-1.1j)])
-    assert verify_pq_relations(diag).ok
-    coin = CoinPair.from_unitary(diag)
+    coin = CoinPair.from_unitary(np.diag([np.exp(0.3j), np.exp(-1.1j)]))
+    assert verify_pq_relations(coin).ok
     np.testing.assert_allclose(coin.P @ coin.Q @ coin.P, np.zeros((2, 2)), atol=1e-15)
 
-    anti = np.array([[0, 1], [1, 0]], dtype=complex)
-    assert verify_pq_relations(anti).ok
-    coin = CoinPair.from_unitary(anti)
+    coin = CoinPair.from_unitary(np.array([[0, 1], [1, 0]], dtype=complex))
+    assert verify_pq_relations(coin).ok
     np.testing.assert_allclose(coin.P @ coin.P, np.zeros((2, 2)), atol=1e-15)
 
 
-def test_jones_generators_hadamard():
-    e1, e2, lam = jones_generators(hadamard())
+def test_pq_relations_fail_on_a_nan_entry():
+    # The relations hold for any P and Q of one nonzero row each, so only a
+    # non-finite entry fails them; the worst residual keeps the NaN.
+    report = verify_pq_relations(CoinPair(np.array([[np.nan, 0], [0, 0]]), np.diag([0, 1])))
+    assert not report.ok
+
+
+def test_jones_parameter_hadamard():
+    coin = hadamard_coin()
+    lam = jones_parameter(coin)
     # lambda = (u12 u21) / (u11 u22) = (1/2) / (-1/2) = -1.
     assert lam == pytest.approx(-1)
+    e1, e2 = coin.P / coin.P[0, 0], coin.Q / coin.Q[1, 1]
     np.testing.assert_allclose(e1 @ e2 @ e1, lam * e1, atol=1e-12)
     np.testing.assert_allclose(e1 @ e1, e1, atol=1e-12)
 
 
-def test_jones_generators_identity_and_antidiagonal():
-    _, _, lam = jones_generators(np.eye(2))
-    assert lam == 0
+def test_jones_parameter_identity_and_antidiagonal():
+    assert jones_parameter(CoinPair.from_unitary(np.eye(2))) == 0
+    swap = CoinPair.from_unitary(np.array([[0, 1], [1, 0]], dtype=complex))
     with pytest.raises(ValueError, match="undefined"):
-        jones_generators(np.array([[0, 1], [1, 0]], dtype=complex))
+        jones_parameter(swap)
 
 
 def test_coin_from_angles_covers_hadamard():

@@ -6,6 +6,8 @@ raises explicitly instead.
 
 A public module-level function or class that no module of the package names
 is reachable only from tests; it either becomes a `verify` check or goes.
+The same holds for the public methods and properties of public classes,
+apart from the hooks the benchmark's layer tracer reads.
 
 A defaulted parameter that no call in the package passes only ever takes its
 default; it becomes the constant it always was.
@@ -58,20 +60,91 @@ def _references(module: ast.Module) -> set[tuple[str, str | None]]:
     return found
 
 
-def test_every_public_name_has_a_caller():
-    trees = {
-        p.name: ast.parse(p.read_text(encoding="utf-8")) for p in MODULES if p.name != "__init__.py"
-    }
+def _attribute_reads(module: ast.Module) -> set[tuple[str, str | None]]:
+    """(attribute, enclosing Class.method or None) for every `x.attribute` in a module."""
+    found = set()
+    for stmt in module.body:
+        inside = {id(n): f"{stmt.name}.{f.name}" for f in _methods(stmt) for n in ast.walk(f)}
+        for node in ast.walk(stmt):
+            if isinstance(node, ast.Attribute):
+                found.add((node.attr, inside.get(id(node))))
+    return found
+
+
+def _methods(stmt: ast.stmt) -> list[ast.FunctionDef]:
+    """The methods and properties a class statement defines; none for any other statement."""
+    if not isinstance(stmt, ast.ClassDef):
+        return []
+    return [f for f in stmt.body if isinstance(f, ast.FunctionDef)]
+
+
+def _trees(paths) -> dict[str, ast.Module]:
+    return {p.name: ast.parse(p.read_text(encoding="utf-8")) for p in paths if p.name != "__init__.py"}
+
+
+# Read only by the benchmark's layer tracer (perfbench/layers.py), never by the package.
+BENCHMARK_HOOKS = {("walk.py", "SymbolicState.total_words")}
+
+
+def uncalled_names(paths) -> list[str]:
+    """Public module-level names, and public methods and properties of public classes,
+    that no other code in the package mentions.
+
+    A module-level name counts as mentioned anywhere outside its own
+    definition.  A method counts as read by any `x.method` outside its own
+    body, matched by name whatever the receiver: it passes when a method
+    of that name on any class is read.
+    """
+    trees = _trees(paths)
     references = set().union(*(_references(tree) for tree in trees.values()))
-    orphans = [
-        f"{name}:{stmt.name}"
-        for name, tree in trees.items()
+    reads = set().union(*(_attribute_reads(tree) for tree in trees.values()))
+    public = [
+        (module, stmt)
+        for module, tree in trees.items()
         for stmt in tree.body
-        if isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
-        and not stmt.name.startswith("_")
-        and not any(ref == stmt.name and owner != stmt.name for ref, owner in references)
+        if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) and not stmt.name.startswith("_")
     ]
+    orphans = [
+        f"{module}:{stmt.name}"
+        for module, stmt in public
+        if not any(ref == stmt.name and owner != stmt.name for ref, owner in references)
+    ]
+    orphans += [
+        f"{module}:{qualified}"
+        for module, stmt in public
+        for method in _methods(stmt)
+        if not method.name.startswith("_")
+        for qualified in [f"{stmt.name}.{method.name}"]
+        if (module, qualified) not in BENCHMARK_HOOKS
+        and not any(attr == method.name and owner != qualified for attr, owner in reads)
+    ]
+    return orphans
+
+
+def test_every_public_name_has_a_caller():
+    orphans = uncalled_names(MODULES)
     assert not orphans, f"public names with no caller in the package: {orphans}"
+
+
+def test_a_method_read_only_by_itself_or_by_nothing_has_no_caller(tmp_path):
+    (tmp_path / "m.py").write_text(
+        "class Box:\n"
+        "    def used(self):\n"
+        "        return self.size\n"
+        "    @property\n"
+        "    def size(self):\n"
+        "        return 1\n"
+        "    def unused(self):\n"
+        "        return self.unused()\n"
+        "    @property\n"
+        "    def shape(self):\n"
+        "        return ()\n"
+        "def run():\n"
+        "    return Box().used()\n"
+        "run()\n",
+        encoding="utf-8",
+    )
+    assert uncalled_names([tmp_path / "m.py"]) == ["m.py:Box.unused", "m.py:Box.shape"]
 
 
 # The console entry point: tests and perfbench pass argv, the package does not.
@@ -109,7 +182,7 @@ def _passed_arguments(tree: ast.Module):
 
 
 def unpassed_defaults(paths) -> list[str]:
-    trees = {p.name: ast.parse(p.read_text(encoding="utf-8")) for p in paths if p.name != "__init__.py"}
+    trees = _trees(paths)
     calls = [c for tree in trees.values() for c in _passed_arguments(tree)]
     return [
         f"{module}:{function}({param})"

@@ -105,8 +105,9 @@ def test_symbolic_cap():
 def test_step_numeric_first_step():
     coin = hadamard_coin()
     s1 = step_numeric(run_numeric(coin, 0), coin)
-    np.testing.assert_allclose(s1.cell(-1), coin.P, atol=1e-15)
-    np.testing.assert_allclose(s1.cell(1), coin.Q, atol=1e-15)
+    # Cells are stored in the order of vertices(1): -1, then 1.
+    np.testing.assert_allclose(s1.amps[0], coin.P, atol=1e-15)
+    np.testing.assert_allclose(s1.amps[1], coin.Q, atol=1e-15)
 
 
 def test_run_numeric_equals_the_matmul_recurrence_for_hadamard():
@@ -203,10 +204,11 @@ def test_symmetric_initial_state_stays_symmetric():
 
 def test_evaluate_identity_and_word_sums():
     coin = hadamard_coin()
-    assert np.array_equal(evaluate(initial_symbolic(), coin).cell(0), np.eye(2))
+    assert np.array_equal(evaluate(initial_symbolic(), coin).amps[0], np.eye(2))
     s2 = run_symbolic(2)
     expected = coin.P @ coin.Q + coin.Q @ coin.P
-    np.testing.assert_allclose(evaluate(s2, coin).cell(0), expected, atol=1e-15)
+    # Vertex 0 is the middle of vertices(2) = -2, 0, 2.
+    np.testing.assert_allclose(evaluate(s2, coin).amps[1], expected, atol=1e-15)
 
 
 def test_evaluate_commutes_with_stepping():
