@@ -11,8 +11,12 @@ not a double) is not printed as data: the Hadamard walk at two steps prints
 0.25, 0.5, 0.25.  Error that accumulates over many steps can still reach the
 15th digit (0.0800781249999999 at ten steps); values are not promised to be
 exact dyadic fractions.  `walk run --symbolic` takes its probabilities from
-the same numeric stepper, so they equal those of `walk run` digit for digit;
-only the word column comes from the symbolic walk.
+the same numeric stepper, so they equal those of `walk run` digit for digit.
+Its word column holds, at vertex k, the P/Q words with (n - k)/2 P's in
+sorted order (`walk.symbolic_cells`): the cells of the symbolic walk, which
+`verify all` checks.  Every check on the arguments runs first; then the
+rows, in CSV and JSON alike, are written one cell at a time, so the walk's
+2^n words are never held at once.
 
 `walk plot` draws the same distribution from one FFT of the walk's transfer
 matrix (`walk.fourier_distribution`), in O(n log n) time where the stepper
@@ -31,9 +35,11 @@ skip the numpy import, which takes longer than the interpreter's own start.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
 from collections import Counter
+from typing import Iterable, Iterator
 
 from . import coalgebra, graphs, language, orbits
 
@@ -86,27 +92,76 @@ def _parse_psi(text: str):
     return np.array([values[0] + 1j * values[1], values[2] + 1j * values[3]])
 
 
-def _emit(text: str, args) -> None:
+def _emit(chunks: Iterable[str], args) -> None:
+    """Write the chunks, in order, to --out or stdout."""
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
         if not args.quiet:
             print(f"wrote {args.out}", file=sys.stderr)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
 
 
-def _emit_table(columns: list[str], rows: list[dict], args, payload=None) -> None:
-    """CSV of `rows` under `columns`, list values joined by +; or JSON of `payload`, default `rows`."""
+def _emit_table(columns: list[str], rows: Iterable[dict], args, payload=None) -> None:
+    """CSV of `rows` under `columns`, or JSON of `payload`, default `rows`.
+
+    Rows that come from an iterator, in `rows` or as a value of `payload`,
+    are formatted as they are written: CSV a row at a time, JSON a batch of
+    rows at a time.
+    """
     if args.format == "json":
-        text = json.dumps(rows if payload is None else payload, indent=2) + "\n"
+        chunks = itertools.chain(_json_chunks(rows if payload is None else payload), ["\n"])
     else:
-        lines = [",".join(columns)]
-        for row in rows:
-            cells = ["+".join(row[c]) if isinstance(row[c], list) else str(row[c]) for c in columns]
-            lines.append(",".join(cells))
-        text = "\n".join(lines) + "\n"
-    _emit(text, args)
+        header = [",".join(columns) + "\n"]
+        lines = (",".join(str(row[c]) for c in columns) + "\n" for row in rows)
+        chunks = itertools.chain(header, lines)
+    _emit(chunks, args)
+
+
+def _json_chunks(value, pad: str = "") -> Iterator[str]:
+    """json.dumps(value, indent=2) in pieces, for a value nested at indent `pad`.
+
+    A dict is written key by key and an iterator of rows batch by batch
+    (`_row_batches`), each batch one json.dumps of a list with its brackets
+    cut off; anything else is one json.dumps.
+    """
+    inner = pad + "  "
+    if isinstance(value, dict):
+        opener = "{\n"
+        for key, item in value.items():
+            yield f"{opener}{inner}{json.dumps(key)}: "
+            yield from _json_chunks(item, inner)
+            opener = ",\n"
+        yield "{}" if opener == "{\n" else f"\n{pad}}}"
+    elif isinstance(value, Iterator):
+        opener = "[\n"
+        for batch in _row_batches(value):
+            yield opener + pad + json.dumps(batch, indent=2)[2:-2].replace("\n", "\n" + pad)
+            opener = ",\n"
+        yield "[]" if opener == "[\n" else f"\n{pad}]"
+    else:
+        yield json.dumps(value, indent=2).replace("\n", "\n" + pad)
+
+
+# A json.dumps call costs microseconds before it encodes anything: one call per
+# row takes twice as long as one call for all 2001 rows of `walk run --steps 2000`.
+JSON_BATCH_VALUES = 4096
+
+
+def _row_batches(rows: Iterator[dict]) -> Iterator[list[dict]]:
+    """Consecutive rows in lists of about JSON_BATCH_VALUES values, a row
+    counting 1 plus the length of each of its list values: small rows share a
+    batch, and a row as large as the budget ends its batch."""
+    batch, size = [], 0
+    for row in rows:
+        batch.append(row)
+        size += 1 + sum(len(v) for v in row.values() if isinstance(v, list))
+        if size >= JSON_BATCH_VALUES:
+            yield batch
+            batch, size = [], 0
+    if batch:
+        yield batch
 
 
 PROBABILITY_DIGITS = 15
@@ -121,15 +176,18 @@ def cmd_walk_run(args) -> int:
     from . import walk
     coin = _resolve_coin(args)
     psi = _parse_psi(args.psi)
-    if args.symbolic:
-        sym = walk.run_symbolic(args.steps)
+    cells = walk.symbolic_cells(args.steps) if args.symbolic else None
     dist = walk.distribution(walk.run_numeric(coin, args.steps), psi)
-    rows = []
-    for k in sorted(dist):
+
+    def cell_row(k: int) -> dict:
         row = {"k": k, "probability": _probability(dist[k])}
-        if args.symbolic:
-            row["words"] = list(sym.cell(k))
-        rows.append(row)
+        if cells is not None:
+            words = next(cells)
+            row["words"] = words if args.format == "csv" else words.split("+")
+        return row
+
+    # Every check has run; the rows, and each cell's words, are made as they are written.
+    rows = map(cell_row, sorted(dist))
     columns = ["k", "probability", "words"] if args.symbolic else ["k", "probability"]
     _emit_table(columns, rows, args, {"time": args.steps, "cells": rows})
     return 0
@@ -177,7 +235,7 @@ def cmd_walk_plot(args) -> int:
     psi = _parse_psi(args.psi)
     dist = walk.fourier_distribution(coin, args.steps, psi)
     title = f"walk distribution, {args.steps} steps"
-    _emit(_distribution_svg(dist, title), args)
+    _emit([_distribution_svg(dist, title)], args)
     return 0
 
 
@@ -277,9 +335,9 @@ def cmd_graph_export(args) -> int:
         g = graphs.de_bruijn_graph(args.de_bruijn)
         if args.extension:
             g = graphs.extension(g)
-        _emit(g.to_dot(), args)
+        _emit([g.to_dot()], args)
     else:
-        _emit(graphs.bernoulli_matrix(args.bernoulli).to_csv(), args)
+        _emit([graphs.bernoulli_matrix(args.bernoulli).to_csv()], args)
     return 0
 
 

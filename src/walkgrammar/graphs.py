@@ -190,31 +190,18 @@ def _mat_mul_exact(a, b):
     return tuple(product)
 
 
-@dataclass(frozen=True)
-class XRelationsReport:
-    ok: bool
-    failures: tuple[tuple[int, int], ...]
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
-def verify_x_relations(b: StochMatrix) -> XRelationsReport:
-    """Check X_h X_l = B_hl X_l exactly, words read in application order.
+def verify_x_relations(b: StochMatrix) -> bool:
+    """Check X_h X_l = B_hl X_l exactly for every (h, l), words read in application order.
 
     X_h X_l means X_h acts first, i.e. the matrix product X_l . X_h.  The
     relation holds whenever the rows of B coincide (the 1/n family); on a
-    general bistochastic matrix it can fail, and the failing index pairs
-    are reported.
+    general bistochastic matrix it can fail.
     """
     entries = x_decomposition(b)
     m = b.dimension
-    failures = []
-    for h in range(m):
-        for l in range(m):
-            lhs = _mat_mul_exact(entries[l], entries[h])
-            coeff = b.rows[h][l]
-            rhs = tuple(tuple(coeff * x for x in row) for row in entries[l])
-            if lhs != rhs:
-                failures.append((h, l))
-    return XRelationsReport(not failures, tuple(failures))
+    return all(
+        _mat_mul_exact(entries[l], entries[h])
+        == tuple(tuple(b.rows[h][l] * x for x in row) for row in entries[l])
+        for h in range(m)
+        for l in range(m)
+    )

@@ -21,8 +21,8 @@ letter words of length t - 1.
 
 from __future__ import annotations
 
-import itertools
 import re
+from typing import Iterable, Iterator
 
 from . import coalgebra
 from .coalgebra import CoproductTable
@@ -128,25 +128,55 @@ def words_at_vertex(t: int, k: int) -> frozenset[str]:
     words of length t: its inverse reads each window of two symbols as a
     letter (`LETTER`).  The index of a letter word is the Q-count
     minus the P-count of its contraction, so the words at vertex k are the
-    inverses of the P/Q words with (t - k)/2 P's: one word per choice of
-    P positions, C(t, (t - k)/2) in all, and nothing else is built.
+    inverses of the P/Q words with (t - k)/2 P's: the one cell `pq_cells`
+    gives, C(t, (t - k)/2) words, and no other cell's words are inverted.
     """
     if t < 2:
         raise ValueError(f"the language starts at t = 2, got t = {t}")
     require_word_time(t)
     if k not in vertices(t):
         return frozenset()
+    (cell,) = pq_cells(t, [k])
     return frozenset(
-        "".join(map(LETTER.__getitem__, map(str.__add__, m, m[1:])))
-        for m in _pq_words(t, (t - k) // 2)
+        "".join(map(LETTER.__getitem__, map(str.__add__, m, m[1:]))) for m in cell.split("+")
     )
 
 
-def _pq_words(t: int, p_count: int):
-    """The P/Q words of length t with p_count P's, one per choice of P positions."""
-    for positions in itertools.combinations(range(t), p_count):
-        symbols = ["Q"] * t
-        for i in positions:
-            symbols[i] = "P"
-        yield "".join(symbols)
+def pq_cells(t: int, ks: Iterable[int]) -> Iterator[str]:
+    """The P/Q words of length t at each lattice vertex k of ks, one cell at a time.
 
+    Cell k holds the words with (t - k)/2 P's in sorted order, as one
+    '+'-joined text ("" is the empty word, the one word at t = 0).  With
+    S(t, p) the words of length t with p P's, the prefix recursion
+
+        S(t, p) = P.S(t - 1, p - 1) ++ Q.S(t - 1, p)
+
+    builds every S(t - 1, p) level by level, each cell by one str.replace
+    (prefix every word) and one join, and P < Q keeps each cell sorted with
+    no sort.  The length t - 1 cells are built before the first cell is
+    returned; then each cell of ks is joined when it is asked for.  So a
+    caller holds about 2^(t-1) t characters and one cell, never 2^t word
+    objects.
+    """
+    require_word_time(t)
+    lattice = vertices(t)
+    counts = []
+    for k in ks:
+        if k not in lattice:
+            raise ValueError(f"vertex {k} is off the time-{t} lattice")
+        counts.append((t - k) // 2)
+    # From length -1, which has no cells: _extended([], 0) is "", the empty word.
+    cells: list[str] = []
+    for _ in range(t):
+        cells = [_extended(cells, p) for p in range(len(cells) + 1)]
+    return (_extended(cells, p) for p in counts)
+
+
+def _extended(cells: list[str], p: int) -> str:
+    """S(s + 1, p) from cells = [S(s, 0), ..., S(s, s)], each a '+'-joined text."""
+    parts = []
+    if p:
+        parts.append("P" + cells[p - 1].replace("+", "+P"))
+    if p < len(cells):
+        parts.append("Q" + cells[p].replace("+", "+Q"))
+    return "+".join(parts)

@@ -175,17 +175,20 @@ def walk_checks(max_t: int) -> list[CheckResult]:
     results.append(CheckResult("symbolic walk reproduces the t<=4 table", ok))
 
     state = walk.initial_symbolic()
-    ok = True
-    for _ in range(min(max_t, language.WORD_TIME_MAX)):
-        state = walk.step_symbolic(state)
+    laws = CheckResult("cell-size and word-balance laws", True)
+    in_order = True
+    for t in range(min(max_t, language.WORD_TIME_MAX) + 1):
+        if t:
+            state = walk.step_symbolic(state)
+        # The streamed cells, joined as `walk run --symbolic` prints them.
+        in_order = in_order and list(walk.symbolic_cells(t)) == ["+".join(c) for c in state.cells]
         try:
             state.validate()
         except AssertionError as exc:
-            ok = False
-            results.append(CheckResult("cell-size and word-balance laws", False, str(exc)))
+            laws = CheckResult(laws.name, False, str(exc))
             break
-    if ok:
-        results.append(CheckResult("cell-size and word-balance laws", True))
+    results.append(laws)
+    results.append(CheckResult("symbolic cells are the fixed-count words, in order", in_order))
 
     coin = quantize.hadamard_coin()
     sym = walk.run_symbolic(min(max_t, 8))
@@ -344,7 +347,7 @@ def quantize_checks() -> list[CheckResult]:
     results.append(
         CheckResult(
             "row-product relations on uniform matrices",
-            all(bool(graphs.verify_x_relations(graphs.bernoulli_matrix(n))) for n in range(2, 7)),
+            all(graphs.verify_x_relations(graphs.bernoulli_matrix(n)) for n in range(2, 7)),
         )
     )
     ok = graphs.ks_entropy(graphs.regular_system_matrix()) == 0.0 and all(

@@ -12,6 +12,13 @@ sorted, so a new cell merges two sorted runs (ending in P and in Q, so
 disjoint), which `sorted` does in linear time.  Numeric states carry the
 summed 2x2 matrix per vertex.
 
+`run_symbolic` is that appending construction, the paper's, and it is the
+reference.  The cell at vertex k is exactly the set of P/Q words of length
+n with (n - k)/2 P's, so `symbolic_cells` reads the same cells, in the same
+order, off `language.pq_cells`, one '+'-joined text at a time, without
+holding 2^n word objects; `walk run --symbolic` prints those, and `verify`
+checks them against `run_symbolic` cell by cell.
+
 The cells at time n are the coefficients of one Laurent polynomial.  With
 the one-step transfer matrix M(z) = z^-1 P + z Q, the generating function
 C_n(z) = sum_k cell(n, k) z^k obeys C_{n+1}(z) = C_n(z) M(z), so
@@ -68,12 +75,12 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from .coalgebra import FormalSum
-from .language import WORD_TIME_MAX, pq_index, require_word_time, vertices
+from .language import WORD_TIME_MAX, pq_cells, pq_index, require_word_time, vertices
 from .quantize import CoinPair
 
 PROB_TOL = 1e-10
@@ -133,14 +140,25 @@ def step_symbolic(s: SymbolicState) -> SymbolicState:
     return SymbolicState(n + 1, tuple(cells))
 
 
-def run_symbolic(steps: int) -> SymbolicState:
+def _require_symbolic_steps(steps: int) -> None:
     if steps < 0:
         raise ValueError("steps must be >= 0")
     require_word_time(steps, "steps")
+
+
+def run_symbolic(steps: int) -> SymbolicState:
+    _require_symbolic_steps(steps)
     s = initial_symbolic()
     for _ in range(steps):
         s = step_symbolic(s)
     return s
+
+
+def symbolic_cells(steps: int) -> Iterator[str]:
+    """The cells of run_symbolic(steps) in the order of `vertices(steps)`, each
+    one '+'-joined text, built one cell at a time from the fixed-count words."""
+    _require_symbolic_steps(steps)
+    return pq_cells(steps, vertices(steps))
 
 
 @dataclass(frozen=True)

@@ -5,6 +5,7 @@ import os
 import resource
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -496,14 +497,44 @@ def test_word_set_sizes_beyond_the_cap_fail_fast(argv):
 
 
 def test_running_out_of_memory_is_a_one_line_error():
-    # 2^24 symbolic words do not fit in 1 GiB of address space.
+    # The 2^24 words of `lang generate --t 24` do not fit in 1 GiB of address space.
     src = str(Path(walkgrammar.__file__).resolve().parents[1])
     done = subprocess.run(
-        [sys.executable, "-m", "walkgrammar.cli", "walk", "run", "--steps", "24", "--symbolic"],
+        [sys.executable, "-m", "walkgrammar.cli", "lang", "generate", "--t", "24"],
         env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=120,
         preexec_fn=_limit_memory,
     )
     assert_one_line_error(done.returncode, done.stdout, done.stderr)
+    assert done.stderr == "error: out of memory\n"
+
+
+def test_symbolic_walk_at_the_word_cap_fits_in_a_gibibyte():
+    # Rows are written a cell at a time: the 2^24 words are never held as objects.
+    src = str(Path(walkgrammar.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-m", "walkgrammar.cli", "walk", "run", "--steps", "24", "--symbolic"],
+        env=dict(os.environ, PYTHONPATH=src), stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+        text=True, timeout=120, preexec_fn=_limit_memory,
+    )
+    assert (done.returncode, done.stderr) == (0, "")
+
+
+def test_symbolic_walk_streams_its_rows(tmp_path):
+    # The whole walk at 18 steps is 2^18 words; one cell of it is under 1 MiB of text.
+    target = str(tmp_path / "walk.csv")
+    out = ["--out", target, "--quiet"]
+    # numpy and the walk modules load untraced.
+    assert main(["walk", "run", "--symbolic", "--steps", "2", *out]) == 0
+    tracemalloc.start()
+    try:
+        code = main(["walk", "run", "--symbolic", "--steps", "18", *out])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < 8 * 2**20
+    with open(target, encoding="utf-8") as fh:
+        assert sum(row.count("+") + 1 for row in list(fh)[1:]) == 2**18
 
 
 def test_off_lattice_vertex_past_the_cap_is_a_domain_error(capsys):

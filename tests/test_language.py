@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -117,6 +119,25 @@ def test_words_at_vertex_is_the_filter_of_generate(t):
         by_index.setdefault(word_index(w), set()).add(w)
     for k in range(-t - 1, t + 2):
         assert words_at_vertex(t, k) == by_index.get(k, set())
+
+
+def test_pq_cells_are_the_fixed_count_words_in_sorted_order():
+    for t in range(9):
+        ks = list(language.vertices(t))
+        by_count = [
+            "+".join(w for w in map("".join, itertools.product("PQ", repeat=t)) if w.count("P") == p)
+            for p in range(t + 1)
+        ]
+        assert list(language.pq_cells(t, ks)) == [by_count[(t - k) // 2] for k in ks]
+        # Any vertices, in any order, each cell built alone.
+        assert list(language.pq_cells(t, ks[::-2])) == [by_count[(t - k) // 2] for k in ks[::-2]]
+
+
+def test_pq_cells_refuse_off_lattice_vertices_and_times_past_the_cap():
+    with pytest.raises(ValueError, match="vertex 1 is off the time-4 lattice"):
+        language.pq_cells(4, [0, 1])
+    with pytest.raises(ValueError, match="word-set cap"):
+        language.pq_cells(language.WORD_TIME_MAX + 1, [1])
 
 
 def test_off_lattice_vertex_past_the_cap_is_refused():

@@ -26,6 +26,7 @@ from walkgrammar.walk import (
     run_symbolic,
     step_numeric,
     step_symbolic,
+    symbolic_cells as streamed_cells,
     unitarity_defect,
 )
 
@@ -80,6 +81,19 @@ def test_cell_size_and_balance_laws():
 @pytest.mark.parametrize("n", range(15))
 def test_symbolic_cells_are_the_sorted_set_recurrence(n):
     assert run_symbolic(n).cells == tuple(tuple(sorted(c)) for c in symbolic_cells(n))
+
+
+@pytest.mark.parametrize("n", range(15))
+def test_streamed_cells_are_the_symbolic_walk_in_order(n):
+    # Same words, same order, cell by cell: the texts `walk run --symbolic` prints.
+    assert [text.split("+") for text in streamed_cells(n)] == [list(c) for c in run_symbolic(n).cells]
+
+
+def test_streamed_cells_check_steps_before_building():
+    with pytest.raises(ValueError, match="steps must be >= 0"):
+        streamed_cells(-1)
+    with pytest.raises(ValueError, match="steps = 25 exceeds the word-set cap"):
+        streamed_cells(25)
 
 
 @pytest.mark.parametrize(
