@@ -18,6 +18,12 @@ sorted order (`walk.symbolic_cells`): the cells of the symbolic walk, which
 rows, in CSV and JSON alike, are written one cell at a time, so the walk's
 2^n words are never held at once.
 
+`lang generate --vertex k` prints its words sorted with no sort: contraction
+preserves order, so `language.words_at_vertex` gives the letter words in
+the order of the P/Q cell that `language.pq_cells` gives, and row i pairs
+word i with contraction i.  The rows are written one at a time, so no row
+object outlives its line.
+
 `walk plot` draws the same distribution from one FFT of the walk's transfer
 matrix (`walk.fourier_distribution`), in O(n log n) time where the stepper
 takes O(n^2).  Its bar heights are accurate in absolute terms, as the
@@ -113,9 +119,9 @@ def _emit_table(columns: list[str], rows: Iterable[dict], args, payload=None) ->
     if args.format == "json":
         chunks = itertools.chain(_json_chunks(rows if payload is None else payload), ["\n"])
     else:
-        header = [",".join(columns) + "\n"]
-        lines = (",".join(str(row[c]) for c in columns) + "\n" for row in rows)
-        chunks = itertools.chain(header, lines)
+        # "{word},{index},{contraction}\n": format() of a value with no spec is its str().
+        line = ",".join(f"{{{c}}}" for c in columns) + "\n"
+        chunks = itertools.chain([",".join(columns) + "\n"], map(line.format_map, rows))
     _emit(chunks, args)
 
 
@@ -252,10 +258,14 @@ WORD_COLUMNS = ["word", "index", "contraction"]
 
 def cmd_lang_generate(args) -> int:
     if args.vertex is None:
-        words = language.generate(args.t, args.grammar)
+        rows = _word_rows(language.generate(args.t, args.grammar))
     else:
-        words = language.words_at_vertex(args.t, args.vertex)
-    _emit_table(WORD_COLUMNS, _word_rows(words), args)
+        k = args.vertex
+        words = language.words_at_vertex(args.t, k)
+        # Contraction keeps the order, so the P/Q cell lists the words' contractions.
+        contractions = next(language.pq_cells(args.t, [k])).split("+") if words else ()
+        rows = ({"word": w, "index": k, "contraction": m} for w, m in zip(words, contractions))
+    _emit_table(WORD_COLUMNS, rows, args)
     return 0
 
 
@@ -298,13 +308,10 @@ def cmd_orbits_decompose(args) -> int:
     pattern = _pattern(args.pattern)
     dec = orbits.decompose(pattern)
     pieces = [p.letters for p in dec.fundamentals()]
-    conserved = sum(
-        (Counter(p) for p in pieces), Counter()
-    ) == Counter(pattern.letters)
     payload = {
         "pattern": pattern.letters,
         "pieces": pieces,
-        "letters_conserved": conserved,
+        "letters_conserved": Counter("".join(pieces)) == Counter(pattern.letters),
         "reglue_ok": dec.reglue() == pattern,
     }
     _emit_table(["piece"], [{"piece": p} for p in pieces], args, payload)

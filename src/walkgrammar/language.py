@@ -17,6 +17,22 @@ and `require_word_time` caps every word set at WORD_TIME_MAX.
 Times 0 and 1 have no letter words (their walk cells are the empty word,
 P and Q); the language starts at t = 2, where the time-t words are the
 letter words of length t - 1.
+
+Contraction preserves order: a < b < c < d as PP < PQ < QP < QQ, and two
+letter words first differ where their contractions do.  So the time-t
+words at vertex k, in sorted order, spell the sorted P/Q words of length
+t with p = (t - k)/2 P's, and one prefix recursion builds both.  Let
+S(s, p) be the P/Q words of length s with p P's, kept as two halves, the
+words that start with P and with Q, each one '+'-joined text.  Then
+
+    P-half of S(s, p) = P.S(s - 1, p - 1)      Q-half = Q.S(s - 1, p)
+
+and P < Q keeps every half sorted with no sort.  The letter alphabet
+prefixes the window instead of the symbol: the halves of S(s - 1, p - 1)
+get a and b, those of S(s - 1, p) get c and d.  Each half costs one
+str.replace (prefix every word) and one join, and a cell of length t
+needs only the counts p - (t - s) .. p at length s.  `pq_cells` reads the
+P/Q alphabet and `words_at_vertex` the letters.
 """
 
 from __future__ import annotations
@@ -121,42 +137,52 @@ def generate(t: int, grammar: str = "markov") -> frozenset[str]:
     return frozenset(words)
 
 
-def words_at_vertex(t: int, k: int) -> frozenset[str]:
-    """Time-t words with index k; empty off the parity lattice.
+def words_at_vertex(t: int, k: int) -> tuple[str, ...]:
+    """Time-t words with index k, in sorted order; empty off the parity lattice.
 
-    Contraction is a bijection from the time-t letter words onto the P/Q
-    words of length t: its inverse reads each window of two symbols as a
-    letter (`LETTER`).  The index of a letter word is the Q-count
-    minus the P-count of its contraction, so the words at vertex k are the
-    inverses of the P/Q words with (t - k)/2 P's: the one cell `pq_cells`
-    gives, C(t, (t - k)/2) words, and no other cell's words are inverted.
+    Contraction is an order-preserving bijection from the time-t letter
+    words onto the P/Q words of length t, and a word's index is the Q-count
+    minus the P-count of its contraction.  So the words at vertex k are the
+    letter spellings of the P/Q words with (t - k)/2 P's, in the same order:
+    the one cell of the prefix recursion in the letter alphabet (module
+    docstring), C(t, (t - k)/2) words, built with no sort and no per-word
+    Python, and no word of another vertex is built.
     """
     if t < 2:
         raise ValueError(f"the language starts at t = 2, got t = {t}")
     require_word_time(t)
     if k not in vertices(t):
-        return frozenset()
-    (cell,) = pq_cells(t, [k])
-    return frozenset(
-        "".join(map(LETTER.__getitem__, map(str.__add__, m, m[1:]))) for m in cell.split("+")
-    )
+        return ()
+    # The letter words of length 1 are P and Q spelled in letters: no letters yet.
+    (cell,) = _cells(t, [k], _LETTER_PREFIXES, 1, {1: ("", None), 0: (None, "")})
+    return tuple(cell.split("+"))
 
 
 def pq_cells(t: int, ks: Iterable[int]) -> Iterator[str]:
     """The P/Q words of length t at each lattice vertex k of ks, one cell at a time.
 
     Cell k holds the words with (t - k)/2 P's in sorted order, as one
-    '+'-joined text ("" is the empty word, the one word at t = 0).  With
-    S(t, p) the words of length t with p P's, the prefix recursion
+    '+'-joined text ("" is the empty word, the one word at t = 0): the
+    prefix recursion of the module docstring in the P/Q alphabet.  A
+    caller holds the band of length t - 1 halves and one cell, never 2^t
+    word objects.
+    """
+    return _cells(t, ks, _PQ_PREFIXES, 0, {0: ("", None)})
 
-        S(t, p) = P.S(t - 1, p - 1) ++ Q.S(t - 1, p)
 
-    builds every S(t - 1, p) level by level, each cell by one str.replace
-    (prefix every word) and one join, and P < Q keeps each cell sorted with
-    no sort.  The length t - 1 cells are built before the first cell is
-    returned; then each cell of ks is joined when it is asked for.  So a
-    caller holds about 2^(t-1) t characters and one cell, never 2^t word
-    objects.
+# The prefix that puts the symbol h before a word that starts with f, in the
+# order hf = PP, PQ, QP, QQ: h itself, or the letter of the window hf.
+_PQ_PREFIXES = "PPQQ"
+_LETTER_PREFIXES = "".join(LETTER[h + f] for h in "PQ" for f in "PQ")
+_NO_WORDS = (None, None)
+
+
+def _cells(t: int, ks: Iterable[int], prefixes: str, length: int, level: dict) -> Iterator[str]:
+    """The cells S(t, (t - k)/2) of ks, each read as '+'-joined text in the
+    alphabet of `prefixes`, grown from `level`, the halves of that length.
+
+    The lattice and the cap are checked and the length t - 1 band is built
+    before the first cell is returned; each cell is joined when it is read.
     """
     require_word_time(t)
     lattice = vertices(t)
@@ -165,18 +191,26 @@ def pq_cells(t: int, ks: Iterable[int]) -> Iterator[str]:
         if k not in lattice:
             raise ValueError(f"vertex {k} is off the time-{t} lattice")
         counts.append((t - k) // 2)
-    # From length -1, which has no cells: _extended([], 0) is "", the empty word.
-    cells: list[str] = []
-    for _ in range(t):
-        cells = [_extended(cells, p) for p in range(len(cells) + 1)]
-    return (_extended(cells, p) for p in counts)
+    if t == length:  # the P/Q alphabet at t = 0: the empty word
+        return ("" for _ in counts)
+    low, high = min(counts, default=0), max(counts, default=0)
+    # Level s keeps only the counts that an asked-for cell of length t grows from.
+    for s in range(length + 1, t):
+        level = {
+            p: (_prefixed(prefixes[:2], level.get(p - 1, _NO_WORDS)),
+                _prefixed(prefixes[2:], level.get(p, _NO_WORDS)))
+            for p in range(max(low - t + s, 0), min(high, s) + 1)
+        }
+    return (
+        _prefixed(prefixes, level.get(p - 1, _NO_WORDS) + level.get(p, _NO_WORDS))
+        for p in counts
+    )
 
 
-def _extended(cells: list[str], p: int) -> str:
-    """S(s + 1, p) from cells = [S(s, 0), ..., S(s, s)], each a '+'-joined text."""
-    parts = []
-    if p:
-        parts.append("P" + cells[p - 1].replace("+", "+P"))
-    if p < len(cells):
-        parts.append("Q" + cells[p].replace("+", "+Q"))
-    return "+".join(parts)
+def _prefixed(prefixes: str, halves: tuple) -> str | None:
+    """Each prefix before every word of its half, '+'-joined; None if no half holds a word."""
+    pieces = []
+    for x, half in zip(prefixes, halves):
+        if half is not None:
+            pieces += ("+", x, half.replace("+", "+" + x))
+    return "".join(pieces[1:]) if pieces else None

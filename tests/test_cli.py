@@ -14,8 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import walkgrammar
-from walkgrammar import coalgebra, orbits, quantize, walk
-from walkgrammar.cli import main
+from walkgrammar import coalgebra, language, orbits, quantize, walk
+from walkgrammar.cli import JSON_BATCH_VALUES, main
 
 from helpers import spinor_walk_distribution
 import numpy as np
@@ -146,6 +146,17 @@ def test_lang_generate_json_round_trip(capsys):
     rows = json.loads(out)
     assert len(rows) == 16
     assert {"word", "index", "contraction"} <= set(rows[0])
+
+
+def test_lang_generate_vertex_json_is_the_definitional_rows(capsys):
+    # 6435 rows, more than one batch of JSON_BATCH_VALUES.
+    argv = ("lang", "generate", "--t", "15", "--vertex", "1", "--format", "json")
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    words = sorted(w for w in language.generate(15) if language.word_index(w) == 1)
+    rows = [{"word": w, "index": 1, "contraction": language.contract(w)} for w in words]
+    assert len(rows) > JSON_BATCH_VALUES
+    assert out == json.dumps(rows, indent=2) + "\n"
 
 
 def test_orbits_enumerate_t3(capsys):
@@ -517,6 +528,24 @@ def test_symbolic_walk_at_the_word_cap_fits_in_a_gibibyte():
         text=True, timeout=120, preexec_fn=_limit_memory,
     )
     assert (done.returncode, done.stderr) == (0, "")
+
+
+def test_lang_generate_at_the_word_cap_fits_in_a_gibibyte(tmp_path):
+    # The C(24, 12) words of vertex 0 are built as text and written a row at a time.
+    src = str(Path(walkgrammar.__file__).resolve().parents[1])
+    target = tmp_path / "words.csv"
+    argv = ["lang", "generate", "--t", "24", "--vertex", "0", "--out", str(target), "--quiet"]
+    done = subprocess.run(
+        [sys.executable, "-m", "walkgrammar.cli", *argv],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=120,
+        preexec_fn=_limit_memory,
+    )
+    assert (done.returncode, done.stdout, done.stderr) == (0, "", "")
+    with target.open(encoding="utf-8") as fh:
+        assert fh.readline() == "word,index,contraction\n"
+        assert fh.readline() == "a" * 11 + "b" + "d" * 11 + ",0," + "P" * 12 + "Q" * 12 + "\n"
+        assert sum(1 for _ in fh) == 2704156 - 1
+    target.unlink()
 
 
 def test_symbolic_walk_streams_its_rows(tmp_path):

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -95,30 +96,40 @@ def test_generate_refuses_times_past_the_cap():
 
 def test_time4_words_at_minus_two_contract_to_walk_cell():
     words = words_at_vertex(4, -2)
-    assert {contract(w) for w in words} == {"QPPP", "PQPP", "PPQP", "PPPQ"}
+    assert [contract(w) for w in words] == ["PPPQ", "PPQP", "PQPP", "QPPP"]
 
 
 def test_words_at_vertex_examples():
-    assert words_at_vertex(3, -1) == frozenset({"ab", "bc", "ca"})
-    assert words_at_vertex(2, 0) == frozenset({"b", "c"})
-    assert {contract(w) for w in words_at_vertex(2, 0)} == {"PQ", "QP"}
-    assert words_at_vertex(4, 4) == frozenset({"ddd"})
+    assert words_at_vertex(3, -1) == ("ab", "bc", "ca")
+    assert words_at_vertex(2, 0) == ("b", "c")
+    assert [contract(w) for w in words_at_vertex(2, 0)] == ["PQ", "QP"]
+    assert words_at_vertex(4, 4) == ("ddd",)
+
+
+def test_an_edge_vertex_builds_only_its_word():
+    # One word per length: the band of counts is one wide at the edge.
+    tracemalloc.start()
+    try:
+        words = words_at_vertex(24, 24)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert words == ("d" * 23,)
+    assert peak < 1 << 20
 
 
 def test_words_at_vertex_parity_and_errors():
-    assert words_at_vertex(3, 0) == frozenset()
-    assert words_at_vertex(3, 9) == frozenset()
+    assert words_at_vertex(3, 0) == ()
+    assert words_at_vertex(3, 9) == ()
     with pytest.raises(ValueError):
         words_at_vertex(1, 1)
 
 
 @pytest.mark.parametrize("t", range(2, 13))
 def test_words_at_vertex_is_the_filter_of_generate(t):
-    by_index = {}
-    for w in generate(t):
-        by_index.setdefault(word_index(w), set()).add(w)
+    words = generate(t)
     for k in range(-t - 1, t + 2):
-        assert words_at_vertex(t, k) == by_index.get(k, set())
+        assert words_at_vertex(t, k) == tuple(sorted(w for w in words if word_index(w) == k))
 
 
 def test_pq_cells_are_the_fixed_count_words_in_sorted_order():
@@ -131,6 +142,9 @@ def test_pq_cells_are_the_fixed_count_words_in_sorted_order():
         assert list(language.pq_cells(t, ks)) == [by_count[(t - k) // 2] for k in ks]
         # Any vertices, in any order, each cell built alone.
         assert list(language.pq_cells(t, ks[::-2])) == [by_count[(t - k) // 2] for k in ks[::-2]]
+        # One vertex builds only the band of counts it grows from.
+        for k in ks:
+            assert list(language.pq_cells(t, [k])) == [by_count[(t - k) // 2]]
 
 
 def test_pq_cells_refuse_off_lattice_vertices_and_times_past_the_cap():
@@ -173,7 +187,7 @@ def test_bijection_with_symbolic_walk():
             assert m not in seen, "contraction must be injective on generated words"
             seen[m] = w
         for k in language.vertices(state.time):
-            assert {contract(w) for w in words_at_vertex(t, k)} == set(state.cell(k))
+            assert tuple(map(contract, words_at_vertex(t, k))) == state.cell(k)
 
 
 LEMMA_NAMES = [
