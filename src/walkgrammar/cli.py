@@ -274,18 +274,17 @@ def cmd_orbits_enumerate(args) -> int:
         pats = orbits.orbits_at_time(args.t)
     else:
         pats = orbits.orbits_at_vertex(args.t, args.vertex)
-    rows = []
-    for p in sorted(pats):
+
+    def row(p: orbits.Pattern) -> dict:
         root, mult = orbits.primitive_root(p)
-        rows.append(
-            {
-                "pattern": p.letters,
-                "index": orbits.orbit_index(p),
-                "root": root.letters,
-                "multiplicity": mult,
-            }
-        )
-    _emit_table(["pattern", "index", "root", "multiplicity"], rows, args)
+        return {
+            "pattern": p.letters,
+            "index": orbits.orbit_index(p),
+            "root": root.letters,
+            "multiplicity": mult,
+        }
+
+    _emit_table(["pattern", "index", "root", "multiplicity"], map(row, sorted(pats)), args)
     return 0
 
 

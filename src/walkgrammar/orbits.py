@@ -9,6 +9,13 @@ applies the coassociative coproduct at every cyclic position, producing
 all patterns one letter longer; decomposition peels a pattern into
 simple cycles and regluing splices them back into it.
 
+`Pattern(...)` is the only public constructor and validates its input.
+Completion, growth and primitive roots build cycles that are closed by
+construction, so they store the least rotation with no second check
+(`_necklace`); nothing from outside takes that path.  Growth shares one
+table per level, from candidate string to pattern, across that level's
+parents, so each distinct candidate is rotated once.
+
 Patterns are the periodic points of x -> 2x mod 1 (`periodic_point`): a
 length-t pattern's first symbols, read as bits with P = 0 and Q = 1, give
 m and x = m / (2^t - 1).  Doubling rotates the t bits, so the length-t
@@ -47,7 +54,7 @@ def _least_rotation(s: str) -> str:
     return best
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class Pattern:
     """Closed composable letter cycle; any rotation is accepted, the least is stored."""
 
@@ -66,6 +73,13 @@ class Pattern:
         return self.letters
 
 
+def _necklace(letters: str) -> Pattern:
+    """Pattern of a least rotation that is a cycle by construction; nothing is checked."""
+    p = object.__new__(Pattern)
+    object.__setattr__(p, "letters", letters)
+    return p
+
+
 def orbit_index(p: Pattern) -> int:
     """Index of the cycle's first symbols, one per letter; rotation invariant."""
     return pq_index(p.letters.translate(_FIRST_SYMBOL))
@@ -82,7 +96,8 @@ def primitive_root(p: Pattern) -> tuple[Pattern, int]:
     n = len(p.letters)
     for d in range(1, n + 1):
         if n % d == 0 and p.letters[:d] * (n // d) == p.letters:
-            return Pattern(p.letters[:d]), n // d
+            # A prefix of a least rotation that repeats into it is its own least rotation.
+            return _necklace(p.letters[:d]), n // d
     raise AssertionError("unreachable")
 
 
@@ -99,17 +114,27 @@ def complete(w: str) -> Pattern:
     """Close an open path word with the unique returning letter."""
     require_path_word(w)
     closing = LETTER[WINDOW[w[-1]][1] + WINDOW[w[0]][0]]
-    return Pattern(w + closing)
+    return _necklace(_least_rotation(w + closing))
 
 
-def grow(p: Pattern) -> frozenset[Pattern]:
+def grow(p: Pattern, seen: dict[str, Pattern]) -> frozenset[Pattern]:
     """Apply the coassociative coproduct at every position, deduplicated.
 
-    Each distinct candidate becomes one Pattern, which rotates it once.
+    A split keeps the cycle closed, so a candidate needs only its least
+    rotation.  `seen` maps candidate strings to their patterns: a candidate
+    already in it is not rotated again, and a new one is rotated once and
+    added, with its least rotation, so equal patterns are one object.
+    Share it across the parents of one growth level only: a candidate of
+    another length never matches, so a longer-lived table only holds memory.
     """
     s = p.letters
     candidates = {s[:i] + split + s[i + 1 :] for i, x in enumerate(s) for split in COASSOC_RULES[x]}
-    return frozenset(map(Pattern, candidates))
+    for c in candidates.difference(seen):
+        r = _least_rotation(c)
+        if r not in seen:
+            seen[r] = _necklace(r)
+        seen[c] = seen[r]
+    return frozenset(map(seen.__getitem__, candidates))
 
 
 def _require_orbit_time(t: int) -> None:
@@ -124,7 +149,12 @@ def orbits_at_time(t: int) -> frozenset[Pattern]:
     _require_orbit_time(t)
     pats = frozenset(complete(x) for x in LETTERS)
     for _ in range(t - 2):
-        pats = frozenset(q for p in pats for q in grow(p))
+        seen: dict[str, Pattern] = {}
+        grown: set[Pattern] = set()
+        for p in pats:
+            # A set update reuses the stored hashes of the set it reads.
+            grown.update(grow(p, seen))
+        pats = frozenset(grown)
     return pats
 
 

@@ -48,20 +48,24 @@ XI_TABLE = {
 
 
 def closed_walks(t: int) -> frozenset[orbits.Pattern]:
-    """Brute-force enumeration of all closed length-t walks, canonicalized."""
-    out: set[orbits.Pattern] = set()
+    """Brute-force enumeration of all closed length-t walks, canonicalized.
+
+    Each walk is rotated once into a set of necklaces; each necklace then
+    becomes one validated Pattern.
+    """
+    necklaces: set[str] = set()
 
     def extend(path: str) -> None:
         if len(path) == t:
             if path[0] in language.SUCCESSORS[path[-1]]:
-                out.add(orbits.Pattern(path))
+                necklaces.add(orbits._least_rotation(path))
             return
         for nxt in language.SUCCESSORS[path[-1]]:
             extend(path + nxt)
 
     for letter in language.LETTERS:
         extend(letter)
-    return frozenset(out)
+    return frozenset(map(orbits.Pattern, necklaces))
 
 
 def coalgebra_checks() -> list[CheckResult]:
@@ -271,7 +275,12 @@ def orbit_checks(max_t: int) -> list[CheckResult]:
                 ok = False
     results.append(CheckResult("orbit readings cover the words at every vertex", ok))
 
-    ok = all(w in orbits.read(orbits.complete(w)) for ws in words.values() for w in ws)
+    # Each word lies in the reading of its completion: read each completion once.
+    completed: dict[orbits.Pattern, list[str]] = {}
+    for ws in words.values():
+        for w in ws:
+            completed.setdefault(orbits.complete(w), []).append(w)
+    ok = all(orbits.read(p).issuperset(ws) for p, ws in completed.items())
     results.append(CheckResult("completion/reading duality", ok))
 
     ok = all(

@@ -17,7 +17,7 @@ import walkgrammar
 from walkgrammar import coalgebra, language, orbits, quantize, walk
 from walkgrammar.cli import JSON_BATCH_VALUES, main
 
-from helpers import spinor_walk_distribution
+from helpers import PAIRS, spinor_walk_distribution
 import numpy as np
 
 
@@ -169,8 +169,21 @@ def test_orbits_enumerate_t3(capsys):
     assert "abc,-1,abc,1" in lines
 
 
+def test_orbits_enumerate_json_is_the_definitional_rows(capsys):
+    # 7712 rows, more than one batch of JSON_BATCH_VALUES.
+    code, out, _ = run_cli(capsys, "orbits", "enumerate", "--t", "17", "--format", "json")
+    assert code == 0
+    rows = []
+    for s in sorted(p.letters for p in orbits.orbits_at_time(17)):
+        d = min(d for d in range(1, 18) if s[:d] * (17 // d) == s)
+        index = sum(1 if PAIRS[x][0] == "Q" else -1 for x in s)
+        rows.append({"pattern": s, "index": index, "root": s[:d], "multiplicity": 17 // d})
+    assert len(rows) > JSON_BATCH_VALUES
+    assert out == json.dumps(rows, indent=2) + "\n"
+
+
 def test_orbits_enumerate_off_the_lattice_grows_no_orbit(capsys, monkeypatch):
-    def refuse(p):
+    def refuse(p, seen):
         raise AssertionError("grew an orbit off the lattice")
 
     monkeypatch.setattr(orbits, "grow", refuse)

@@ -93,6 +93,8 @@ def test_complete_examples():
     assert complete("ab") == Pattern("abc")
     assert complete("aa") == Pattern("aaa")
     assert complete("bd") == Pattern("bdc")
+    with pytest.raises(ValueError, match="'ac' breaks at position 0"):
+        complete("ac")
 
 
 def test_completion_preserves_index():
@@ -108,15 +110,27 @@ def test_completion_reading_duality():
 
 
 def test_grow_examples():
-    assert grow(Pattern("aa")) == {Pattern("aaa"), Pattern("abc")}
-    assert grow(Pattern("dd")) == {Pattern("ddd"), Pattern("bdc")}
-    assert grow(Pattern("abc")) == {Pattern("aabc"), Pattern("bcbc"), Pattern("abdc")}
+    assert grow(Pattern("aa"), {}) == {Pattern("aaa"), Pattern("abc")}
+    assert grow(Pattern("dd"), {}) == {Pattern("ddd"), Pattern("bdc")}
+    assert grow(Pattern("abc"), {}) == {Pattern("aabc"), Pattern("bcbc"), Pattern("abdc")}
 
 
 @pytest.mark.parametrize("t", range(2, 11))
 def test_grow_equals_per_candidate_canonicalisation(t):
+    # Each parent grown with a fresh table and with one table shared by the level.
+    shared = {}
     for p in orbits_at_time(t):
-        assert {q.letters for q in grow(p)} == grow_oracle(p.letters)
+        expected = grow_oracle(p.letters)
+        assert {q.letters for q in grow(p, {})} == expected
+        assert {q.letters for q in grow(p, shared)} == expected
+
+
+def test_trusted_constructions_build_what_the_checking_constructor_builds():
+    for t in range(2, 11):
+        pats = orbits_at_time(t)
+        built = [*pats, *map(complete, generate(t)), *(primitive_root(p)[0] for p in pats)]
+        for q in built:
+            assert Pattern(q.letters).letters == q.letters
 
 
 @settings(max_examples=200, deadline=None)
@@ -130,10 +144,10 @@ def test_grow_shifts_index_by_one():
     # i -+ 1, so each grown pattern sits one vertex away from its parent.
     for t in range(2, 9):
         for p in orbits_at_time(t):
-            for q in grow(p):
+            for q in grow(p, {}):
                 assert len(q) == len(p) + 1
                 assert abs(orbit_index(q) - orbit_index(p)) == 1
-            spread = {orbit_index(q) - orbit_index(p) for q in grow(p)}
+            spread = {orbit_index(q) - orbit_index(p) for q in grow(p, {})}
             assert spread == {-1, 1}
 
 
@@ -149,6 +163,23 @@ def test_orbits_at_small_times():
 def test_growth_matches_closed_walk_enumeration():
     for t in range(2, 10):
         assert {p.letters for p in orbits_at_time(t)} == closed_cycles(t)
+
+
+@pytest.mark.parametrize("t", range(1, 11))
+def test_closed_walks_are_the_closed_cycles(t):
+    assert verify.closed_walks(t) == {Pattern(s) for s in closed_cycles(t)}
+
+
+def test_orbit_checks_catch_a_wrong_completion(monkeypatch):
+    true_complete = orbits.complete
+
+    def wrong(w):
+        return Pattern("aaaaaa") if w == "bcbcb" else true_complete(w)
+
+    monkeypatch.setattr(orbits, "complete", wrong)
+    results = {r.name: r.ok for r in verify.orbit_checks(6)}
+    assert results["completion/reading duality"] is False
+    assert results["orbit readings cover the words at every vertex"] is True
 
 
 def test_orbit_readings_recover_words_at_vertex():
