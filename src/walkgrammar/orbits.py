@@ -12,9 +12,7 @@ simple cycles and regluing splices them back into it.
 `Pattern(...)` is the only public constructor and validates its input.
 Completion, growth and primitive roots build cycles that are closed by
 construction, so they store the least rotation with no second check
-(`_necklace`); nothing from outside takes that path.  Growth shares one
-table per level, from candidate string to pattern, across that level's
-parents, so each distinct candidate is rotated once.
+(`_necklace`); nothing from outside takes that path.
 
 Patterns are the periodic points of x -> 2x mod 1 (`periodic_point`): a
 length-t pattern's first symbols, read as bits with P = 0 and Q = 1, give
@@ -41,7 +39,7 @@ PATTERN_MAX_LETTERS = 1024
 _FIRST_SYMBOL = str.maketrans({x: window[0] for x, window in WINDOW.items()})
 
 
-def _least_rotation(s: str) -> str:
+def least_rotation(s: str) -> str:
     """Least rotation; only a rotation that starts at the least letter can be it."""
     n, doubled, least = len(s), s + s, min(s)
     best = s
@@ -64,7 +62,7 @@ class Pattern:
         letters = require_path_word(self.letters)
         if WINDOW[letters[-1]][1] != WINDOW[letters[0]][0]:
             raise ValueError(f"{letters!r} is an open path, not a cycle")
-        object.__setattr__(self, "letters", _least_rotation(letters))
+        object.__setattr__(self, "letters", least_rotation(letters))
 
     def __len__(self) -> int:
         return len(self.letters)
@@ -114,27 +112,17 @@ def complete(w: str) -> Pattern:
     """Close an open path word with the unique returning letter."""
     require_path_word(w)
     closing = LETTER[WINDOW[w[-1]][1] + WINDOW[w[0]][0]]
-    return _necklace(_least_rotation(w + closing))
+    return _necklace(least_rotation(w + closing))
 
 
-def grow(p: Pattern, seen: dict[str, Pattern]) -> frozenset[Pattern]:
-    """Apply the coassociative coproduct at every position, deduplicated.
+def grow(p: Pattern) -> list[str]:
+    """Apply the coassociative coproduct at every position, one word per position and split.
 
-    A split keeps the cycle closed, so a candidate needs only its least
-    rotation.  `seen` maps candidate strings to their patterns: a candidate
-    already in it is not rotated again, and a new one is rotated once and
-    added, with its least rotation, so equal patterns are one object.
-    Share it across the parents of one growth level only: a candidate of
-    another length never matches, so a longer-lived table only holds memory.
+    A split keeps the cycle closed, so each word is a rotation of a cycle
+    one letter longer; the words are neither rotated nor deduplicated.
     """
     s = p.letters
-    candidates = {s[:i] + split + s[i + 1 :] for i, x in enumerate(s) for split in COASSOC_RULES[x]}
-    for c in candidates.difference(seen):
-        r = _least_rotation(c)
-        if r not in seen:
-            seen[r] = _necklace(r)
-        seen[c] = seen[r]
-    return frozenset(map(seen.__getitem__, candidates))
+    return [s[:i] + split + s[i + 1 :] for i, x in enumerate(s) for split in COASSOC_RULES[x]]
 
 
 def _require_orbit_time(t: int) -> None:
@@ -149,12 +137,11 @@ def orbits_at_time(t: int) -> frozenset[Pattern]:
     _require_orbit_time(t)
     pats = frozenset(complete(x) for x in LETTERS)
     for _ in range(t - 2):
-        seen: dict[str, Pattern] = {}
-        grown: set[Pattern] = set()
+        candidates: set[str] = set()
         for p in pats:
-            # A set update reuses the stored hashes of the set it reads.
-            grown.update(grow(p, seen))
-        pats = frozenset(grown)
+            candidates.update(grow(p))
+        del pats  # release the previous level before the next one is built
+        pats = frozenset(map(_necklace, set(map(least_rotation, candidates))))
     return pats
 
 

@@ -58,7 +58,7 @@ def closed_walks(t: int) -> frozenset[orbits.Pattern]:
     def extend(path: str) -> None:
         if len(path) == t:
             if path[0] in language.SUCCESSORS[path[-1]]:
-                necklaces.add(orbits._least_rotation(path))
+                necklaces.add(orbits.least_rotation(path))
             return
         for nxt in language.SUCCESSORS[path[-1]]:
             extend(path + nxt)
@@ -284,9 +284,9 @@ def orbit_checks(max_t: int) -> list[CheckResult]:
     results.append(CheckResult("completion/reading duality", ok))
 
     ok = all(
-        len(pats) >= orbits.orbit_count_lower_bound(t, k)
+        len(groups.get(k, ())) >= orbits.orbit_count_lower_bound(t, k)
         for t, groups in by_index.items()
-        for k, pats in groups.items()
+        for k in language.vertices(t)
     )
     results.append(CheckResult("orbit counting bound", ok))
 

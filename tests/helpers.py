@@ -7,6 +7,7 @@ check the package against a second route, not against itself.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -66,6 +67,17 @@ def grow_oracle(letters: str) -> frozenset[str]:
         for i, (u, v) in enumerate(map(PAIRS.get, letters))
         for s in "PQ"
     )
+
+
+def fixed_density_necklaces(t: int, j: int) -> int:
+    """Binary necklaces of length t with j ones (Ruskey & Sawada, SIAM J. Comput. 1999).
+
+    N(t, j) = (1/t) sum over d | gcd(t, j) of phi(d) C(t/d, j/d).
+    """
+    g = math.gcd(t, j)
+    divisors = [d for d in range(1, g + 1) if g % d == 0]
+    phi = {d: sum(math.gcd(d, i) == 1 for i in range(1, d + 1)) for d in divisors}
+    return sum(phi[d] * math.comb(t // d, j // d) for d in divisors) // t
 
 
 def symbolic_cells(steps: int) -> list[frozenset[str]]:

@@ -183,7 +183,7 @@ def test_orbits_enumerate_json_is_the_definitional_rows(capsys):
 
 
 def test_orbits_enumerate_off_the_lattice_grows_no_orbit(capsys, monkeypatch):
-    def refuse(p, seen):
+    def refuse(p):
         raise AssertionError("grew an orbit off the lattice")
 
     monkeypatch.setattr(orbits, "grow", refuse)

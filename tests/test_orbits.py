@@ -23,7 +23,13 @@ from walkgrammar.orbits import (
     read,
 )
 
-from helpers import closed_cycles, grow_oracle, min_rotation, simple_cycles_networkx
+from helpers import (
+    closed_cycles,
+    fixed_density_necklaces,
+    grow_oracle,
+    min_rotation,
+    simple_cycles_networkx,
+)
 
 
 def test_canonicalize_rotations():
@@ -110,19 +116,17 @@ def test_completion_reading_duality():
 
 
 def test_grow_examples():
-    assert grow(Pattern("aa"), {}) == {Pattern("aaa"), Pattern("abc")}
-    assert grow(Pattern("dd"), {}) == {Pattern("ddd"), Pattern("bdc")}
-    assert grow(Pattern("abc"), {}) == {Pattern("aabc"), Pattern("bcbc"), Pattern("abdc")}
+    assert set(map(Pattern, grow(Pattern("aa")))) == {Pattern("aaa"), Pattern("abc")}
+    assert set(map(Pattern, grow(Pattern("dd")))) == {Pattern("ddd"), Pattern("bdc")}
+    assert set(map(Pattern, grow(Pattern("abc")))) == {
+        Pattern("aabc"), Pattern("bcbc"), Pattern("abdc")
+    }
 
 
 @pytest.mark.parametrize("t", range(2, 11))
 def test_grow_equals_per_candidate_canonicalisation(t):
-    # Each parent grown with a fresh table and with one table shared by the level.
-    shared = {}
     for p in orbits_at_time(t):
-        expected = grow_oracle(p.letters)
-        assert {q.letters for q in grow(p, {})} == expected
-        assert {q.letters for q in grow(p, shared)} == expected
+        assert {min_rotation(c) for c in grow(p)} == grow_oracle(p.letters)
 
 
 def test_trusted_constructions_build_what_the_checking_constructor_builds():
@@ -136,7 +140,7 @@ def test_trusted_constructions_build_what_the_checking_constructor_builds():
 @settings(max_examples=200, deadline=None)
 @given(st.text("abcd", min_size=1, max_size=20))
 def test_least_rotation_matches_the_full_scan(s):
-    assert orbits._least_rotation(s) == min_rotation(s)
+    assert orbits.least_rotation(s) == min_rotation(s)
 
 
 def test_grow_shifts_index_by_one():
@@ -144,10 +148,11 @@ def test_grow_shifts_index_by_one():
     # i -+ 1, so each grown pattern sits one vertex away from its parent.
     for t in range(2, 9):
         for p in orbits_at_time(t):
-            for q in grow(p, {}):
+            grown = list(map(Pattern, grow(p)))
+            for q in grown:
                 assert len(q) == len(p) + 1
                 assert abs(orbit_index(q) - orbit_index(p)) == 1
-            spread = {orbit_index(q) - orbit_index(p) for q in grow(p, {})}
+            spread = {orbit_index(q) - orbit_index(p) for q in grown}
             assert spread == {-1, 1}
 
 
@@ -182,6 +187,35 @@ def test_orbit_checks_catch_a_wrong_completion(monkeypatch):
     assert results["orbit readings cover the words at every vertex"] is True
 
 
+def test_orbit_checks_catch_a_vertex_with_no_orbits(monkeypatch):
+    true_orbits_at_time = orbits.orbits_at_time
+
+    def without_top_vertex(t):
+        return frozenset(p for p in true_orbits_at_time(t) if orbit_index(p) != t)
+
+    monkeypatch.setattr(orbits, "orbits_at_time", without_top_vertex)
+    results = {r.name: r.ok for r in verify.orbit_checks(6)}
+    assert results["orbit counting bound"] is False
+
+
+def test_growth_calls_grow_once_per_parent(monkeypatch):
+    # The benchmark's layer tracer wraps `orbits.grow` and reads these calls.
+    sizes = {s: len(orbits_at_time(s)) for s in range(2, 10)}
+    true_grow = orbits.grow
+    parents = Counter()
+
+    def counted(p):
+        assert isinstance(p, Pattern)
+        parents[len(p)] += 1
+        return true_grow(p)
+
+    monkeypatch.setattr(orbits, "grow", counted)
+    for t in range(3, 11):
+        parents.clear()
+        orbits_at_time(t)
+        assert dict(parents) == {s: sizes[s] for s in range(2, t)}
+
+
 def test_orbit_readings_recover_words_at_vertex():
     for t in range(3, 10):
         pats = orbits_at_time(t)
@@ -199,6 +233,14 @@ def test_orbit_count_lower_bound_examples():
     assert orbit_count_lower_bound(4, 4) == 1
     with pytest.raises(ValueError):
         orbit_count_lower_bound(4, 1)
+
+
+@pytest.mark.parametrize("t", range(2, 17))
+def test_pattern_counts_are_the_fixed_density_necklace_counts(t):
+    # Vertex k holds the orbits with j = (t + k)/2 ones: the length-t binary
+    # necklaces of density j, counted exactly.
+    counts = Counter(orbit_index(p) for p in orbits_at_time(t))
+    assert dict(counts) == {k: fixed_density_necklaces(t, (t + k) // 2) for k in language.vertices(t)}
 
 
 def test_orbit_count_bound_holds():

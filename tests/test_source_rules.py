@@ -18,6 +18,10 @@ commands that need no complex arithmetic start without numpy.
 
 The package's `__init__` is its docstring alone: every name is reached
 through the module that defines it, never through a second namespace.
+
+No module reads another module's private name, as `module._name` or
+`from .module import _name`: what one module needs from another is public,
+so the caller rule sees it.
 """
 
 import ast
@@ -238,3 +242,30 @@ def test_core_modules_import_no_numeric_code_at_load_time():
 def test_package_init_binds_no_name():
     tree = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
     assert ast.get_docstring(tree) and len(tree.body) == 1, "__init__.py is its docstring alone"
+
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not re.fullmatch(r"__\w+__", name)
+
+
+def private_reads(paths) -> list[str]:
+    """Every `module._name` on a package module and every relative import of a private name."""
+    modules = {p.stem for p in paths}
+    found = []
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                if node.value.id in modules and _private(node.attr):
+                    found.append(f"{path.name}:{node.lineno}: {node.value.id}.{node.attr}")
+            elif isinstance(node, ast.ImportFrom) and node.level:
+                found += [
+                    f"{path.name}:{node.lineno}: from .{node.module or ''} import {alias.name}"
+                    for alias in node.names
+                    if _private(alias.name)
+                ]
+    return found
+
+
+def test_no_module_reads_another_modules_private_name():
+    offenders = private_reads(MODULES)
+    assert not offenders, f"private names read from another module: {offenders}"
