@@ -157,9 +157,7 @@ def orbit_count_lower_bound(t: int, k: int) -> int:
     """Ceiling of binom(t, (t-k)/2) / t, in exact integer arithmetic."""
     if k not in vertices(t):
         raise ValueError(f"vertex {k} is off the parity lattice at time {t}")
-    kappa = (t - k) // 2
-    bound = Fraction(math.comb(t, kappa), t)
-    return -((-bound.numerator) // bound.denominator)
+    return -(-math.comb(t, (t - k) // 2) // t)
 
 
 def fundamental_orbits() -> frozenset[Pattern]:

@@ -1,4 +1,5 @@
 import functools
+import math
 from collections import Counter
 from fractions import Fraction
 
@@ -187,6 +188,46 @@ def test_orbit_checks_catch_a_wrong_completion(monkeypatch):
     assert results["orbit readings cover the words at every vertex"] is True
 
 
+def test_orbit_checks_catch_a_word_at_the_wrong_vertex(monkeypatch):
+    true_word_index = language.word_index
+
+    def moved(w):
+        # One word of time 6 moved to the next vertex up.
+        return true_word_index(w) + 2 if w == "bcbcb" else true_word_index(w)
+
+    monkeypatch.setattr(language, "word_index", moved)
+    results = {r.name: r.ok for r in verify.orbit_checks(6)}
+    assert results["orbit readings cover the words at every vertex"] is False
+    assert results["completion/reading duality"] is True
+
+
+def test_orbit_checks_catch_a_dropped_window(monkeypatch):
+    true_read = orbits.read
+    # "bcbcb" is one window of the one pattern that reads it, bcbcbc.
+    monkeypatch.setattr(orbits, "read", lambda p: true_read(p) - {"bcbcb"})
+    results = {r.name: r.ok for r in verify.orbit_checks(6)}
+    assert results["orbit readings cover the words at every vertex"] is False
+
+
+def test_orbit_checks_take_each_level_once_in_order(monkeypatch):
+    # The benchmark's layer tracer wraps these at their module attributes,
+    # and its grow useful_ratio reads the last growth step of each
+    # orbits_at_time call: one call per t keeps that step the level checked.
+    calls = {"orbits_at_time": [], "closed_walks": [], "generate": []}
+
+    def recording(name, f):
+        def recorded(t):
+            calls[name].append(t)
+            return f(t)
+
+        return recorded
+
+    for module, name in ((orbits, "orbits_at_time"), (verify, "closed_walks"), (language, "generate")):
+        monkeypatch.setattr(module, name, recording(name, getattr(module, name)))
+    assert all(verify.orbit_checks(8))
+    assert calls == {name: list(range(2, 9)) for name in calls}
+
+
 def test_orbit_checks_catch_a_vertex_with_no_orbits(monkeypatch):
     true_orbits_at_time = orbits.orbits_at_time
 
@@ -231,6 +272,9 @@ def test_orbit_count_lower_bound_examples():
     assert orbit_count_lower_bound(3, -1) == 1
     assert orbit_count_lower_bound(4, 0) == 2
     assert orbit_count_lower_bound(4, 4) == 1
+    for t in range(2, 25):
+        for k in language.vertices(t):
+            assert orbit_count_lower_bound(t, k) == math.ceil(Fraction(math.comb(t, (t - k) // 2), t))
     with pytest.raises(ValueError):
         orbit_count_lower_bound(4, 1)
 
