@@ -22,7 +22,8 @@ rows, in CSV and JSON alike, are written one cell at a time, so the walk's
 preserves order, so `language.words_at_vertex` gives the letter words in
 the order of the P/Q cell that `language.pq_cells` gives, and row i pairs
 word i with contraction i.  The rows are written one at a time, so no row
-object outlives its line.
+object outlives its line.  `lang generate` without `--vertex` and `orbits
+read` sort their words first and then make each row as it is written, too.
 
 `walk plot` draws the same distribution from one FFT of the walk's transfer
 matrix (`walk.fourier_distribution`), in O(n log n) time where the stepper
@@ -245,12 +246,13 @@ def cmd_walk_plot(args) -> int:
     return 0
 
 
-def _word_rows(words) -> list[dict]:
-    return [
+def _word_rows(words) -> Iterator[dict]:
+    """The rows of the sorted words, each made as it is written; the sort runs at once."""
+    return (
         {"word": w, "index": language.pq_index(m), "contraction": m}
         for w in sorted(words)
         for m in [language.contract(w)]
-    ]
+    )
 
 
 WORD_COLUMNS = ["word", "index", "contraction"]

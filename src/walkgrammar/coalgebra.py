@@ -7,10 +7,13 @@ with a concrete witness symbol.
 A coproduct table maps each alphabet symbol to a sum of length-2 tensor
 words.  Reading every summand x (x) y as a directed arrow x -> y turns a
 table into a directed graph; conversely `markov_pair` reads the out-edge
-and in-edge coproducts off a `graphs.DirectedGraph` with no source or sink,
-and every Markov pair here is read off a graph that `graphs` builds.  A
-source has no in-arrow and a sink has no out-arrow; a loop v -> v counts as
-both, so a vertex whose only in-arrow is its own loop is not a source.
+and in-edge coproducts off a `graphs.DirectedGraph` with no source or sink.
+A source has no in-arrow and a sink has no out-arrow; a loop v -> v counts
+as both, so a vertex whose only in-arrow is its own loop is not a source.
+Every Markov pair here is read off a graph but the three-petal flower,
+which is built by hand and which no graph gives: its d, read as arrows,
+holds only 1 -> 1 and p -> 1, so no arrow enters a petal p, while
+dt(p) = 1 (x) p needs the arrow 1 -> p.
 """
 
 from __future__ import annotations
@@ -422,7 +425,8 @@ def markov_fixtures() -> dict[str, tuple[CoproductTable, CoproductTable]]:
     """Every Markov L-coalgebra pair shipped with the package.
 
     The triangle is the directed 3-cycle x0 -> x1 -> x2 -> x0 beside a
-    grouplike unit 1.
+    grouplike unit 1.  Each pair but the hand-built flower (module
+    docstring) is read off its graph by `markov_pair`.
     """
     triangle = [("1", "1"), ("x0", "x1"), ("x1", "x2"), ("x2", "x0")]
     fixtures = {

@@ -40,7 +40,7 @@ def hadamard() -> np.ndarray:
     return np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 
 
-def coin_from_angles(theta: float, phi1: float = 0.0, phi2: float = 0.0) -> np.ndarray:
+def coin_from_angles(theta: float, phi1: float, phi2: float) -> np.ndarray:
     """Three-angle family of 2x2 coins; theta = pi/4, phi = 0 is Hadamard."""
     if not np.all(np.isfinite([theta, phi1, phi2])):
         raise ValueError(f"coin angles must be finite, got {theta}, {phi1}, {phi2}")

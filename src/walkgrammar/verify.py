@@ -87,7 +87,8 @@ def coalgebra_checks() -> list[CheckResult]:
             ),
         )
     )
-    dm, _ = coalgebra.markov_pair_e()
+    fixtures = coalgebra.markov_fixtures()
+    dm, _ = fixtures["extension-four-letter"]
     report = coalgebra.verify_axiom("coassociativity", dm)
     results.append(
         CheckResult(
@@ -96,7 +97,7 @@ def coalgebra_checks() -> list[CheckResult]:
             f"witness {report.witness}",
         )
     )
-    for name, (delta, delta_tilde) in sorted(coalgebra.markov_fixtures().items()):
+    for name, (delta, delta_tilde) in sorted(fixtures.items()):
         results.append(
             CheckResult(
                 f"breaking equation: {name}",
@@ -104,7 +105,7 @@ def coalgebra_checks() -> list[CheckResult]:
             )
         )
     for n in range(2, 6):
-        delta, delta_tilde = coalgebra.markov_pair(graphs.de_bruijn_graph(n))
+        delta, delta_tilde = fixtures[f"de-bruijn-{n}"]
         ok = all(
             bool(coalgebra.verify_axiom(axiom, delta, delta_tilde))
             for axiom in ("codialgebra-1", "codialgebra-2", "codialgebra-3", "breaking-equation")
@@ -168,82 +169,66 @@ def lemma_checks(depth: int) -> list[CheckResult]:
 
 
 def walk_checks(max_t: int) -> list[CheckResult]:
-    results = []
-    state = walk.initial_symbolic()
-    ok = True
-    for t in range(5):
-        if {k: set(v) for k, v in state.items() if v} != XI_TABLE[t]:
-            ok = False
-        if t < 4:
-            state = walk.step_symbolic(state)
-    results.append(CheckResult("symbolic walk reproduces the t<=4 table", ok))
-
-    state = walk.initial_symbolic()
+    """One pass over t = 0..max(4, max_t) that steps the symbolic walk once: each
+    state meets the t <= 4 table, the streamed cells and the laws up to the
+    first broken one, and at t = min(max_t, 8) evaluation commutes with a step."""
+    coin = quantize.hadamard_coin()
+    table = in_order = commutes = True
     laws = CheckResult("cell-size and word-balance laws", True)
-    in_order = True
-    for t in range(min(max_t, language.WORD_TIME_MAX) + 1):
+    state = walk.initial_symbolic()
+    for t in range(max(4, min(max_t, language.WORD_TIME_MAX)) + 1):
         if t:
             state = walk.step_symbolic(state)
+        if t <= 4:
+            table &= {k: set(v) for k, v in state.items() if v} == XI_TABLE[t]
         # The streamed cells, joined as `walk run --symbolic` prints them.
-        in_order = in_order and list(walk.symbolic_cells(t)) == ["+".join(c) for c in state.cells]
-        try:
-            state.validate()
-        except AssertionError as exc:
-            laws = CheckResult(laws.name, False, str(exc))
-            break
-    results.append(laws)
-    results.append(CheckResult("symbolic cells are the fixed-count words, in order", in_order))
-
-    coin = quantize.hadamard_coin()
-    sym = walk.run_symbolic(min(max_t, 8))
-    lhs = walk.evaluate(walk.step_symbolic(sym), coin)
-    rhs = walk.step_numeric(walk.evaluate(sym, coin), coin)
-    results.append(
-        CheckResult(
-            "evaluate commutes with stepping",
-            bool(np.max(np.abs(lhs.amps - rhs.amps)) < 1e-12),
-        )
-    )
-
+        in_order &= list(walk.symbolic_cells(t)) == ["+".join(c) for c in state.cells]
+        if laws:
+            try:
+                state.validate()
+            except AssertionError as exc:
+                laws = CheckResult(laws.name, False, str(exc))
+        if t == min(max_t, 8):
+            lhs = walk.evaluate(walk.step_symbolic(state), coin)
+            rhs = walk.step_numeric(walk.evaluate(state, coin), coin)
+            commutes = bool(np.max(np.abs(lhs.amps - rhs.amps)) < 1e-12)
     defect = walk.unitarity_defect(walk.run_numeric(coin, 200))
-    results.append(
-        CheckResult("norm preservation at t=200", defect < walk.UNITARITY_TOL, f"defect {defect:.2e}")
-    )
-
     report = walk.commutator_check(coin)
-    results.append(
+    return [
+        CheckResult("symbolic walk reproduces the t<=4 table", table),
+        laws,
+        CheckResult("symbolic cells are the fixed-count words, in order", in_order),
+        CheckResult("evaluate commutes with stepping", commutes),
+        CheckResult("norm preservation at t=200", defect < walk.UNITARITY_TOL, f"defect {defect:.2e}"),
         CheckResult(
             "dispersion commutator is right concatenation by QP-PQ",
             bool(report),
             f"max deviation {report.max_deviation:.2e}",
-        )
-    )
-    return results
+        ),
+    ]
 
 
 def language_checks(max_t: int) -> list[CheckResult]:
-    results = []
-    ok = all(
-        language.generate(t, "markov") == language.generate(t, "coassoc")
-        for t in range(2, max_t + 1)
-    )
-    results.append(CheckResult("grammar equivalence", ok))
-    state = walk.run_symbolic(min(max_t, language.WORD_TIME_MAX))
-    t = state.time
-    grammar_words: dict[int, list[str]] = {}
-    for w in language.generate(t):
-        grammar_words.setdefault(language.word_index(w), []).append(w)
-    ok = set(grammar_words) <= set(language.vertices(t))
-    for k in language.vertices(t):
-        # In order: contraction maps the sorted words onto the sorted cell.
-        words = language.words_at_vertex(t, k)
-        if (
-            words != tuple(sorted(grammar_words.get(k, ())))
-            or tuple(map(language.contract, words)) != state.cell(k)
-        ):
-            ok = False
-    results.append(CheckResult("letter words match walk cells under contraction", ok))
-    return results
+    """Grammar equivalence for t = 2..max_t, then the last level's words against the walk.
+
+    At t = max_t, contraction maps the sorted words at each vertex onto the
+    walk's sorted cell, every such word is a grammar word, and the cells
+    hold as many words as the grammar: so the grammar's words are exactly
+    the words at the vertices, each at its own.
+    """
+    equivalent = True
+    for t in range(2, max_t + 1):
+        words = language.generate(t, "markov")
+        equivalent &= words == language.generate(t, "coassoc")
+    state = walk.run_symbolic(max_t)
+    ok = sum(map(len, state.cells)) == len(words)
+    for k in language.vertices(max_t):
+        at_k = language.words_at_vertex(max_t, k)
+        ok &= tuple(map(language.contract, at_k)) == state.cell(k) and words.issuperset(at_k)
+    return [
+        CheckResult("grammar equivalence", equivalent),
+        CheckResult("letter words match walk cells under contraction", ok),
+    ]
 
 
 def orbit_checks(max_t: int) -> list[CheckResult]:

@@ -148,6 +148,18 @@ def test_lang_generate_json_round_trip(capsys):
     assert {"word", "index", "contraction"} <= set(rows[0])
 
 
+def test_lang_generate_json_is_the_definitional_rows(capsys):
+    # 8192 rows, more than one batch of JSON_BATCH_VALUES.
+    code, out, _ = run_cli(capsys, "lang", "generate", "--t", "13", "--format", "json")
+    assert code == 0
+    rows = [
+        {"word": w, "index": language.word_index(w), "contraction": language.contract(w)}
+        for w in sorted(language.generate(13))
+    ]
+    assert len(rows) > JSON_BATCH_VALUES
+    assert out == json.dumps(rows, indent=2) + "\n"
+
+
 def test_lang_generate_vertex_json_is_the_definitional_rows(capsys):
     # 6435 rows, more than one batch of JSON_BATCH_VALUES.
     argv = ("lang", "generate", "--t", "15", "--vertex", "1", "--format", "json")

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from walkgrammar import coalgebra, graphs, language
+from walkgrammar import coalgebra, graphs, language, verify
 from walkgrammar.coalgebra import (
     CoproductTable,
     CounitTable,
@@ -174,6 +174,26 @@ def test_triangle_fixture_is_the_three_cycle_beside_a_grouplike_unit():
     assert delta.alphabet == delta_tilde.alphabet == ("1",) + xs
     assert delta.rules == {"1": lift("1", "1")} | {x: lift(x, xs[(i + 1) % 3]) for i, x in enumerate(xs)}
     assert delta_tilde.rules == {"1": lift("1", "1")} | {x: lift(xs[i - 1], x) for i, x in enumerate(xs)}
+
+
+def test_flower_is_not_read_off_a_graph():
+    # Read as arrows, d gives 1 -> 1 and p -> 1 alone: no arrow enters a petal,
+    # yet dt(p) = 1 (x) p needs the arrow 1 -> p, which d(1) = 1 (x) 1 rules out.
+    delta, _ = coalgebra.flower_coproducts()
+    arrows = [word for v in delta.alphabet for word, _ in delta.apply(v)]
+    with pytest.raises(ValueError, match="'p1' is a source"):
+        markov_pair(graphs.DirectedGraph.build(delta.alphabet, arrows))
+
+
+def test_coalgebra_suite_builds_the_markov_fixtures_once(monkeypatch):
+    read_off_graphs = len(coalgebra.markov_fixtures()) - 1  # all but the flower
+    calls = []
+    for name in ("markov_fixtures", "markov_pair"):
+        real = getattr(coalgebra, name)
+        monkeypatch.setattr(coalgebra, name, lambda *a, real=real, name=name: calls.append(name) or real(*a))
+    assert all(verify.coalgebra_checks())
+    assert calls.count("markov_fixtures") == 1
+    assert calls.count("markov_pair") == read_off_graphs
 
 
 def test_degenerate_pair_satisfies_breaking_equation():

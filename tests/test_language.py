@@ -303,3 +303,16 @@ def test_verify_ties_the_grammar_to_the_walk_cells(monkeypatch):
 
     monkeypatch.setattr(language, "generate", missing_one)
     assert not check()
+
+
+def test_language_suite_builds_each_level_once(monkeypatch):
+    levels = []
+
+    def recording(t, grammar="markov"):
+        levels.append((t, grammar))
+        return generate(t, grammar)
+
+    monkeypatch.setattr(language, "generate", recording)
+    monkeypatch.setattr(language, "word_index", None)
+    assert all(verify.language_checks(6))
+    assert levels == [(t, g) for t in range(2, 7) for g in ("markov", "coassoc")]

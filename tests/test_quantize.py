@@ -124,7 +124,7 @@ def test_jones_parameter_identity_and_antidiagonal():
 
 
 def test_coin_from_angles_covers_hadamard():
-    np.testing.assert_allclose(coin_from_angles(np.pi / 4), hadamard(), atol=1e-15)
+    np.testing.assert_allclose(coin_from_angles(np.pi / 4, 0.0, 0.0), hadamard(), atol=1e-15)
     rng = np.random.default_rng(2)
     for _ in range(20):
         theta, phi1, phi2 = rng.uniform(0, 2 * np.pi, size=3)
@@ -167,4 +167,4 @@ def test_nan_is_not_unitary():
     with pytest.raises(ValueError, match="not unitary"):
         quantize.assert_unitary(np.array([[np.nan, 0], [0, 1]]))
     with pytest.raises(ValueError, match="finite"):
-        coin_from_angles(np.nan)
+        coin_from_angles(np.nan, 0.0, 0.0)

@@ -10,7 +10,8 @@ The same holds for the public methods and properties of public classes,
 apart from the hooks the benchmark's layer tracer reads.
 
 A defaulted parameter that no call in the package passes only ever takes its
-default; it becomes the constant it always was.
+default; it becomes the constant it always was.  One that every call in the
+package passes has a default only tests take; the default goes.
 
 The exact layers (words, orbits, graphs, coalgebra, the CLI's top level)
 import neither numpy nor the numeric modules when they load, so the
@@ -185,25 +186,56 @@ def _passed_arguments(tree: ast.Module):
         yield name, float("inf") if splat else len(node.args), keywords
 
 
-def unpassed_defaults(paths) -> list[str]:
+def _default_uses(paths) -> list[tuple[str, set[bool]]]:
+    """Per defaulted parameter, whether each call of its function in the package passes it."""
     trees = _trees(paths)
     calls = [c for tree in trees.values() for c in _passed_arguments(tree)]
     return [
-        f"{module}:{function}({param})"
+        (
+            f"{module}:{function}({param})",
+            {
+                param in keywords or None in keywords or (index is not None and count > index)
+                for name, count, keywords in calls
+                if name == function
+            },
+        )
         for module, tree in trees.items()
         for function, index, param in _defaulted_parameters(tree)
         if (module, function) not in ENTRY_POINTS
-        and not any(
-            name == function
-            and (param in keywords or None in keywords or (index is not None and count > index))
-            for name, count, keywords in calls
-        )
     ]
+
+
+def unpassed_defaults(paths) -> list[str]:
+    return [param for param, passed in _default_uses(paths) if True not in passed]
 
 
 def test_every_defaulted_parameter_is_passed_somewhere():
     unpassed = unpassed_defaults(MODULES)
     assert not unpassed, f"defaulted parameters that only ever take their default: {unpassed}"
+
+
+def defaults_never_taken(paths) -> list[str]:
+    """Defaulted parameters that every call in the package passes: only tests take the default."""
+    return [param for param, passed in _default_uses(paths) if False not in passed]
+
+
+def test_every_default_is_taken_by_some_call():
+    always_passed = defaults_never_taken(MODULES)
+    assert not always_passed, f"defaults that no package call relies on: {always_passed}"
+
+
+def test_a_default_every_call_passes_is_never_taken(tmp_path):
+    (tmp_path / "m.py").write_text(
+        "def f(a, b=1, c=2, *, d=3):\n"
+        "    return a + b + c + d\n"
+        "def __repr__(x=0):\n"
+        "    return x\n"
+        "f(1, 2, d=4)\n"
+        "f(1, b=2, d=5)\n"
+        "f(*[1, 2, 3], d=6)\n",
+        encoding="utf-8",
+    )
+    assert defaults_never_taken([tmp_path / "m.py"]) == ["m.py:f(b)", "m.py:f(d)"]
 
 
 CORE = {"coalgebra", "graphs", "language", "orbits", "cli", "__init__"}

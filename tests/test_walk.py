@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from walkgrammar import walk
+from walkgrammar import verify, walk
 from walkgrammar.coalgebra import FormalSum
 from walkgrammar.quantize import (
     CoinPair,
@@ -383,3 +383,73 @@ def test_reflected_coin_mirrors_the_fourier_distribution(theta, phi1, phi2, part
     eps = np.finfo(float).eps
     for k in dist:
         assert abs(mirrored[k] - dist[-k]) <= 1e-14 + 2 * steps * eps * dist[-k]
+
+
+def test_walk_suite_steps_the_symbolic_walk_once(monkeypatch):
+    steps = []
+    step = walk.step_symbolic
+
+    def recording(s):
+        steps.append(s.time)
+        return step(s)
+
+    monkeypatch.setattr(walk, "step_symbolic", recording)
+    monkeypatch.setattr(walk, "run_symbolic", None)
+    assert all(verify.walk_checks(6))
+    # t = 1..6 once each, then one step past t = 6 for the commutation check.
+    assert steps == [0, 1, 2, 3, 4, 5, 6]
+
+
+TABLE = "symbolic walk reproduces the t<=4 table"
+LAWS = "cell-size and word-balance laws"
+IN_ORDER = "symbolic cells are the fixed-count words, in order"
+COMMUTES = "evaluate commutes with stepping"
+
+
+def _fault_dropped_word(monkeypatch):
+    # Stepping to t = 3 loses a word of cell -1, the second cell of vertices(3).
+    step = walk.step_symbolic
+
+    def dropping(s):
+        out = step(s)
+        if out.time != 3:
+            return out
+        cells = list(out.cells)
+        cells[1] = cells[1][1:]
+        return walk.SymbolicState(3, tuple(cells))
+
+    monkeypatch.setattr(walk, "step_symbolic", dropping)
+
+
+def _fault_reversed_cell(monkeypatch):
+    cells = walk.symbolic_cells
+
+    def reversing(steps):
+        out = list(cells(steps))
+        if steps == 6:
+            out[3] = "+".join(reversed(out[3].split("+")))
+        return iter(out)
+
+    monkeypatch.setattr(walk, "symbolic_cells", reversing)
+
+
+def _fault_numeric_offset(monkeypatch):
+    step = walk.step_numeric
+    monkeypatch.setattr(
+        walk, "step_numeric", lambda s, coin: walk.NumericState(s.time + 1, step(s, coin).amps + 1e-9)
+    )
+
+
+@pytest.mark.parametrize(
+    "fault, failing",
+    [
+        # The streamed cells keep the dropped word, so the order check fails too.
+        (_fault_dropped_word, {TABLE: "", LAWS: "cell -1 holds 2 words, expected 3", IN_ORDER: ""}),
+        (_fault_reversed_cell, {IN_ORDER: ""}),
+        (_fault_numeric_offset, {COMMUTES: ""}),
+    ],
+)
+def test_each_walk_check_fails_under_its_fault(monkeypatch, fault, failing):
+    assert all(verify.walk_checks(6))
+    fault(monkeypatch)
+    assert {c.name: c.detail for c in verify.walk_checks(6) if not c.ok} == failing
