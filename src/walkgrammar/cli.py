@@ -37,6 +37,12 @@ import numpy, with `quantize`, `walk` and `verify`, inside the command: they
 need complex coin entries or the walk's amplitudes.  The word, orbit, graph
 and coalgebra commands are exact string and rational arithmetic, and they
 skip the numpy import, which takes longer than the interpreter's own start.
+Every matrix product these commands make is small: 2x2 cells, and at most
+5x5 in `verify`.  So `main` sets OPENBLAS_NUM_THREADS to 1 before numpy
+loads and each command runs as one thread.  Otherwise OpenBLAS starts one
+worker per further CPU at import, which never gets a job but spins before
+it sleeps: about 0.1 s of CPU time per launch on a 2-CPU host.  A value of
+OPENBLAS_NUM_THREADS that the caller has set is kept.
 """
 
 from __future__ import annotations
@@ -44,6 +50,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import os
 import sys
 from collections import Counter
 from typing import Iterable, Iterator
@@ -496,6 +503,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # Read by OpenBLAS when numpy loads, which no import above does.
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)

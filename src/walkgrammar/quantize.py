@@ -101,10 +101,10 @@ class CoinPair:
 
     @classmethod
     def from_unitary(cls, u: np.ndarray) -> "CoinPair":
-        parts = row_split(u)
-        if len(parts) != 2:
+        # Before row_split, whose n x n product and n split matrices grow as n^3.
+        if np.shape(u) != (2, 2):
             raise ValueError("coin unitaries are 2x2")
-        return cls(*parts)
+        return cls(*row_split(u))
 
 
 def hadamard_coin() -> CoinPair:

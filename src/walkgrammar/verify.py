@@ -50,8 +50,10 @@ XI_TABLE = {
 def closed_walks(t: int) -> frozenset[orbits.Pattern]:
     """Brute-force enumeration of all closed length-t walks, canonicalized.
 
-    Each walk is rotated once into a set of necklaces; each necklace then
-    becomes one validated Pattern.
+    Every closed walk has a rotation that starts at its least letter, so
+    the search from letter x steps to no letter below x.  Each walk is
+    rotated once into a set of necklaces; each necklace then becomes one
+    validated Pattern.
     """
     necklaces: set[str] = set()
 
@@ -61,7 +63,8 @@ def closed_walks(t: int) -> frozenset[orbits.Pattern]:
                 necklaces.add(orbits.least_rotation(path))
             return
         for nxt in language.SUCCESSORS[path[-1]]:
-            extend(path + nxt)
+            if nxt >= path[0]:
+                extend(path + nxt)
 
     for letter in language.LETTERS:
         extend(letter)

@@ -492,6 +492,30 @@ def test_coin_file_of_wrong_shape_is_rejected(capsys, tmp_path):
     )
 
 
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="no VmHWM to read")
+def test_large_coin_file_is_refused_before_any_product(tmp_path):
+    # The row split of a 300x300 unitary holds 300 matrices of 300x300: 412 MiB.
+    # The child reports its own peak RSS (VmHWM): the ru_maxrss that wait4
+    # gives a parent carries over the high-water mark of the forking pytest.
+    coin_file = tmp_path / "coin.json"
+    n = 300
+    coin_file.write_text(json.dumps({"re": np.eye(n).tolist(), "im": np.zeros((n, n)).tolist()}))
+    code = (
+        "import sys\n"
+        "from walkgrammar import cli\n"
+        "code = cli.main(sys.argv[1:])\n"
+        "print(next(l for l in open('/proc/self/status') if l.startswith('VmHWM:')).split()[1])\n"
+        "sys.exit(code)\n"
+    )
+    src = str(Path(walkgrammar.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-c", code, "coin", "check", "--coin-file", str(coin_file)],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=60,
+    )
+    assert (done.returncode, done.stderr) == (1, "error: coin unitaries are 2x2\n")
+    assert int(done.stdout) < 100 * 1024, f"peak RSS {int(done.stdout) // 1024} MiB"
+
+
 @pytest.mark.parametrize("command", ["run", "plot"])
 def test_walk_steps_beyond_the_cap_fail_fast(command):
     # A subprocess with a timeout: without the cap the stepper runs for hours.

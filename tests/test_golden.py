@@ -84,8 +84,12 @@ def test_cli_error_lines_match_the_golden_corpus(name):
     assert (code, err) == (1, expected.replace("{inputs}", str(INPUTS)))
 
 
-# Commands whose output passes through sets, checks or errors.
+# Commands whose output passes through sets, checks or errors, and numeric
+# ones, which an in-process run makes with the BLAS this process loaded.
 SUBPROCESS_CASES = [
+    "walk-run-custom-n2000",
+    "walk-plot-n2000",
+    "coin-custom",
     "walk-run-symbolic-custom",
     "lang-t7-k-3-coassoc",
     "orbits-enum-t8",
@@ -99,7 +103,9 @@ SUBPROCESS_CASES = [
 @pytest.mark.parametrize("seed", ["1", "2"])
 def test_golden_subset_under_optimize_and_hash_seeds(seed):
     src = str(Path(walkgrammar.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=seed, PYTHONIOENCODING="utf-8")
+    # Without OPENBLAS_NUM_THREADS, which in-process runs leave set: the CLI sets its own.
+    inherited = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env = dict(inherited, PYTHONPATH=src, PYTHONHASHSEED=seed, PYTHONIOENCODING="utf-8")
     for name in SUBPROCESS_CASES:
         done = subprocess.run(
             [sys.executable, "-O", "-m", "walkgrammar.cli", *CASES[name]],

@@ -1,7 +1,8 @@
-"""The exact commands run without numpy; the numeric ones load it on use.
+"""The exact commands run without numpy; the numeric ones load it on use, with one BLAS thread.
 
 Each check runs in a fresh interpreter: the test process itself has long
-imported numpy.
+imported numpy.  The interpreter's environment has no OPENBLAS_NUM_THREADS
+unless a test sets it: in-process CLI runs in this process leave it set.
 """
 
 import os
@@ -16,22 +17,26 @@ import walkgrammar
 SRC = str(Path(walkgrammar.__file__).resolve().parents[1])
 INPUTS = Path(__file__).parent / "golden" / "inputs"
 
-# Runs the CLI on its arguments, then prints whether numpy is loaded.
-CLI_PROBE = """
-import sys
+# Runs the CLI on its arguments, then prints one expression over the process's state.
+CLI_PROBE_THEN = """
+import os, sys
 from walkgrammar import cli
 try:
     cli.main(sys.argv[1:])
 except SystemExit:
     pass
-print("numpy" in sys.modules)
+print({})
 """
+CLI_PROBE = CLI_PROBE_THEN.format('"numpy" in sys.modules')
+THREAD_PROBE = CLI_PROBE_THEN.format('len(os.listdir("/proc/self/task"))')
+BLAS_ENV_PROBE = CLI_PROBE_THEN.format('os.environ["OPENBLAS_NUM_THREADS"]')
 
 
-def probe(code: str, *argv: str) -> list[str]:
+def probe(code: str, *argv: str, **env: str) -> list[str]:
+    inherited = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
     done = subprocess.run(
         [sys.executable, "-c", code, *argv],
-        env=dict(os.environ, PYTHONPATH=SRC), capture_output=True, text=True, timeout=60,
+        env=dict(inherited, PYTHONPATH=SRC, **env), capture_output=True, text=True, timeout=60,
     )
     assert done.returncode == 0, done.stderr
     return done.stdout.splitlines()
@@ -66,3 +71,22 @@ def test_importing_the_package_does_not_load_numpy():
         "print('numpy' in sys.modules)\n"
     )
     assert probe(code) == ["False", "True"]
+
+
+NUMPY_COMMANDS = [
+    ["walk", "run", "--steps", "20"],
+    ["walk", "plot", "--steps", "20"],
+    ["coin", "check"],
+    ["verify", "all", "--max-t", "3"],
+    ["orbits", "verify", "--max-t", "3"],
+]
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="no /proc/self/task to count threads")
+@pytest.mark.parametrize("argv", NUMPY_COMMANDS + EXACT_COMMANDS[:2], ids=" ".join)
+def test_every_command_runs_as_one_thread(argv):
+    assert probe(THREAD_PROBE, *argv)[-1] == "1"
+
+
+def test_the_callers_blas_thread_count_is_kept():
+    assert probe(BLAS_ENV_PROBE, "walk", "run", "--steps", "2", OPENBLAS_NUM_THREADS="2")[-1] == "2"
