@@ -77,6 +77,22 @@ def _table_arguments(parser: argparse.ArgumentParser) -> None:
     _output_arguments(parser)
 
 
+# Largest JSON file read; a divided-power coproduct table on 300 symbols is 0.9 MB.
+INPUT_MAX_BYTES = 1 << 20
+
+
+def _read_json(path: str):
+    """Parse a JSON file of at most INPUT_MAX_BYTES, refusing a larger or too deeply nested one."""
+    with open(path, "rb") as fh:
+        data = fh.read(INPUT_MAX_BYTES + 1)
+    if len(data) > INPUT_MAX_BYTES:
+        raise ValueError(f"{path} exceeds the input cap of {INPUT_MAX_BYTES} bytes")
+    try:
+        return json.loads(data.decode("utf-8"))
+    except RecursionError:
+        raise ValueError(f"{path} nests its JSON too deeply") from None
+
+
 def _resolve_coin(args):
     from . import quantize
     angles = (args.theta, args.phi1, args.phi2)
@@ -84,8 +100,7 @@ def _resolve_coin(args):
     if args.coin_file:
         if args.coin == "custom" or angle_given:
             raise ValueError("--coin-file takes no --coin custom and no --theta/--phi1/--phi2")
-        with open(args.coin_file, encoding="utf-8") as fh:
-            u = quantize.coin_from_json(json.load(fh))
+        u = quantize.coin_from_json(_read_json(args.coin_file))
         return quantize.CoinPair.from_unitary(u)
     if args.coin == "hadamard":
         if angle_given:
@@ -287,9 +302,9 @@ def cmd_orbits_enumerate(args) -> int:
     def row(p: orbits.Pattern) -> dict:
         root, mult = orbits.primitive_root(p)
         return {
-            "pattern": p.letters,
+            "pattern": p,
             "index": orbits.orbit_index(p),
-            "root": root.letters,
+            "root": root,
             "multiplicity": mult,
         }
 
@@ -315,11 +330,11 @@ def cmd_orbits_read(args) -> int:
 def cmd_orbits_decompose(args) -> int:
     pattern = _pattern(args.pattern)
     dec = orbits.decompose(pattern)
-    pieces = [p.letters for p in dec.fundamentals()]
+    pieces = dec.fundamentals()
     payload = {
-        "pattern": pattern.letters,
+        "pattern": pattern,
         "pieces": pieces,
-        "letters_conserved": Counter("".join(pieces)) == Counter(pattern.letters),
+        "letters_conserved": Counter("".join(pieces)) == Counter(pattern),
         "reglue_ok": dec.reglue() == pattern,
     }
     _emit_table(["piece"], [{"piece": p} for p in pieces], args, payload)
@@ -381,10 +396,7 @@ def cmd_verify_all(args) -> int:
 
 def cmd_verify_axiom(args) -> int:
     def load(path, table_class):
-        if path is None:
-            return None
-        with open(path, encoding="utf-8") as fh:
-            return table_class.from_json(json.load(fh))
+        return None if path is None else table_class.from_json(_read_json(path))
 
     report = coalgebra.verify_axiom(
         args.axiom,
@@ -444,7 +456,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--t", type=int, required=True)
     p_gen.add_argument("--vertex", type=int)
     p_gen.add_argument(
-        "--grammar", choices=("markov", "coassoc"), default="markov",
+        "--grammar", choices=tuple(language.GRAMMAR_TABLES), default="markov",
         help="both give the same words; with --vertex both take one path that builds only its words",
     )
     _table_arguments(p_gen)

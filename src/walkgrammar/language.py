@@ -117,7 +117,8 @@ def grammar_table(grammar: str) -> CoproductTable:
     try:
         return GRAMMAR_TABLES[grammar]
     except KeyError:
-        raise ValueError(f"unknown grammar {grammar!r}; pick markov or coassoc") from None
+        pick = " or ".join(GRAMMAR_TABLES)
+        raise ValueError(f"unknown grammar {grammar!r}; pick {pick}") from None
 
 
 def generate(t: int, grammar: str = "markov") -> frozenset[str]:

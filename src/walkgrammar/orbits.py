@@ -1,8 +1,8 @@
 """Periodic orbits of the extension graph: patterns, reading, growth, decomposition.
 
 A pattern is a closed composable letter cycle taken up to rotation: any
-rotation constructs it, and it stores its lexicographically least
-rotation (a < b < c < d).  Reading a length-n pattern yields its n
+rotation constructs it, and it is its lexicographically least rotation
+(a < b < c < d), a `str`.  Reading a length-n pattern yields its n
 cyclic windows of length n - 1, deduplicated; completion closes an open
 path word with the unique letter that returns to its start; growth
 applies the coassociative coproduct at every cyclic position, producing
@@ -11,7 +11,7 @@ simple cycles and regluing splices them back into it.
 
 `Pattern(...)` is the only public constructor and validates its input.
 Completion, growth and primitive roots build cycles that are closed by
-construction, so they store the least rotation with no second check
+construction, so they take the least rotation with no second check
 (`_necklace`); nothing from outside takes that path.
 
 Patterns are the periodic points of x -> 2x mod 1 (`periodic_point`): a
@@ -52,59 +52,48 @@ def least_rotation(s: str) -> str:
     return best
 
 
-@dataclass(frozen=True, order=True, slots=True)
-class Pattern:
-    """Closed composable letter cycle; any rotation is accepted, the least is stored."""
+class Pattern(str):
+    """Closed composable letter cycle; any rotation is accepted, the least is the value."""
 
-    letters: str
+    __slots__ = ()
 
-    def __post_init__(self):
-        letters = require_path_word(self.letters)
+    def __new__(cls, letters: str) -> Pattern:
+        require_path_word(letters)
         if WINDOW[letters[-1]][1] != WINDOW[letters[0]][0]:
             raise ValueError(f"{letters!r} is an open path, not a cycle")
-        object.__setattr__(self, "letters", least_rotation(letters))
-
-    def __len__(self) -> int:
-        return len(self.letters)
-
-    def __str__(self) -> str:
-        return self.letters
+        return str.__new__(cls, least_rotation(letters))
 
 
 def _necklace(letters: str) -> Pattern:
     """Pattern of a least rotation that is a cycle by construction; nothing is checked."""
-    p = object.__new__(Pattern)
-    object.__setattr__(p, "letters", letters)
-    return p
+    return str.__new__(Pattern, letters)
 
 
 def orbit_index(p: Pattern) -> int:
     """Index of the cycle's first symbols, one per letter; rotation invariant."""
-    return pq_index(p.letters.translate(_FIRST_SYMBOL))
+    return pq_index(p.translate(_FIRST_SYMBOL))
 
 
 def periodic_point(p: Pattern) -> Fraction:
     """Point m / (2^t - 1) of the doubling map; m reads p's first symbols as bits, P = 0, Q = 1."""
-    bits = p.letters.translate(_FIRST_SYMBOL).replace("P", "0").replace("Q", "1")
-    return Fraction(int(bits, 2), 2 ** len(p.letters) - 1)
+    bits = p.translate(_FIRST_SYMBOL).replace("P", "0").replace("Q", "1")
+    return Fraction(int(bits, 2), 2 ** len(p) - 1)
 
 
 def primitive_root(p: Pattern) -> tuple[Pattern, int]:
     """Smallest cycle whose repetition gives p, with its multiplicity."""
-    n = len(p.letters)
-    for d in range(1, n + 1):
-        if n % d == 0 and p.letters[:d] * (n // d) == p.letters:
-            # A prefix of a least rotation that repeats into it is its own least rotation.
-            return _necklace(p.letters[:d]), n // d
-    raise AssertionError("unreachable")
+    # p is its rotation by d iff p occurs in pp at offset d; the least such d
+    # divides len(p) (Lothaire 1983), and that prefix is its own least rotation.
+    period = (p + p).find(p, 1)
+    return _necklace(p[:period]), len(p) // period
 
 
 def read(p: Pattern) -> frozenset[str]:
     """Distinct cyclic windows one letter shorter than the pattern."""
-    n = len(p.letters)
+    n = len(p)
     if n < 2:
         raise ValueError("reading a length-1 pattern would yield the empty word")
-    doubled = p.letters * 2
+    doubled = p * 2
     return frozenset(doubled[k : k + n - 1] for k in range(n))
 
 
@@ -121,8 +110,7 @@ def grow(p: Pattern) -> list[str]:
     A split keeps the cycle closed, so each word is a rotation of a cycle
     one letter longer; the words are neither rotated nor deduplicated.
     """
-    s = p.letters
-    return [s[:i] + split + s[i + 1 :] for i, x in enumerate(s) for split in COASSOC_RULES[x]]
+    return [p[:i] + split + p[i + 1 :] for i, x in enumerate(p) for split in COASSOC_RULES[x]]
 
 
 def _require_orbit_time(t: int) -> None:
@@ -210,7 +198,7 @@ def decompose(p: Pattern) -> Decomposition:
     stack: list[str] = []
     position: dict[str, int] = {}
     peeled: list[tuple[str, int]] = []
-    for letter in p.letters:
+    for letter in p:
         if letter in position:
             start = position[letter]
             cycle = "".join(stack[start:])

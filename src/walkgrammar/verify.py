@@ -272,7 +272,7 @@ def orbit_checks(max_t: int) -> list[CheckResult]:
                 pieces = dec.fundamentals()
                 decomposed &= (
                     set(pieces) <= fundamentals
-                    and Counter("".join(q.letters for q in pieces)) == Counter(p.letters)
+                    and Counter("".join(pieces)) == Counter(p)
                     and dec.reglue() == p
                 )
         cover &= read_union == language.generate(t)

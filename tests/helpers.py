@@ -55,6 +55,13 @@ def min_rotation(s: str) -> str:
     return min(s[i:] + s[:i] for i in range(len(s)))
 
 
+def primitive_root_oracle(s: str) -> tuple[str, int]:
+    """Shortest prefix whose repetition gives s, with its count, by scanning the divisors of len(s)."""
+    n = len(s)
+    d = next(d for d in range(1, n + 1) if n % d == 0 and s[:d] * (n // d) == s)
+    return s[:d], n // d
+
+
 def grow_oracle(letters: str) -> frozenset[str]:
     """Growth by its definition, as least rotations.
 

@@ -186,7 +186,7 @@ def test_orbits_enumerate_json_is_the_definitional_rows(capsys):
     code, out, _ = run_cli(capsys, "orbits", "enumerate", "--t", "17", "--format", "json")
     assert code == 0
     rows = []
-    for s in sorted(p.letters for p in orbits.orbits_at_time(17)):
+    for s in sorted(orbits.orbits_at_time(17)):
         d = min(d for d in range(1, 18) if s[:d] * (17 // d) == s)
         index = sum(1 if PAIRS[x][0] == "Q" else -1 for x in s)
         rows.append({"pattern": s, "index": index, "root": s[:d], "multiplicity": 17 // d})
@@ -566,6 +566,38 @@ def test_running_out_of_memory_is_a_one_line_error():
     )
     assert_one_line_error(done.returncode, done.stdout, done.stderr)
     assert done.stderr == "error: out of memory\n"
+
+
+JSON_FILE_COMMANDS = [
+    ["coin", "check", "--coin-file"],
+    ["verify", "axiom", "--axiom", "coassociativity", "--delta"],
+]
+
+
+def _run_on_json_file(argv, path):
+    src = str(Path(walkgrammar.__file__).resolve().parents[1])
+    return subprocess.run(
+        [sys.executable, "-m", "walkgrammar.cli", *argv, str(path)],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=60,
+        preexec_fn=_limit_memory,
+    )
+
+
+@pytest.mark.parametrize("argv", JSON_FILE_COMMANDS)
+def test_deeply_nested_json_is_a_one_line_error(tmp_path, argv):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
+    done = _run_on_json_file(argv, deep)
+    assert_one_line_error(done.returncode, done.stdout, done.stderr)
+    assert "nests its JSON too deeply" in done.stderr
+
+
+@pytest.mark.parametrize("argv", JSON_FILE_COMMANDS)
+def test_an_endless_json_file_is_read_up_to_the_cap(argv):
+    # /dev/zero never ends: only the cap stops the read.
+    done = _run_on_json_file(argv, "/dev/zero")
+    assert_one_line_error(done.returncode, done.stdout, done.stderr)
+    assert done.stderr == "error: /dev/zero exceeds the input cap of 1048576 bytes\n"
 
 
 def test_symbolic_walk_at_the_word_cap_fits_in_a_gibibyte():

@@ -93,6 +93,7 @@ SUBPROCESS_CASES = [
     "walk-run-symbolic-custom",
     "lang-t7-k-3-coassoc",
     "orbits-enum-t8",
+    "orbits-enum-t12",
     "verify-all-4",
     "walk-run-psi-nan",
     "lang-grammar-bad",

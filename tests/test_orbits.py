@@ -29,15 +29,27 @@ from helpers import (
     fixed_density_necklaces,
     grow_oracle,
     min_rotation,
+    primitive_root_oracle,
     simple_cycles_networkx,
 )
 
 
 def test_canonicalize_rotations():
-    assert Pattern("bca").letters == "abc"
-    assert Pattern("aaa").letters == "aaa"
-    assert Pattern("cbd").letters == "bdc"
+    assert Pattern("bca") == "abc"
+    assert Pattern("aaa") == "aaa"
     assert Pattern("cbd") == Pattern("bdc") == Pattern("dcb")
+
+
+def test_a_pattern_is_the_str_of_its_least_rotation():
+    p = Pattern("cbd")
+    assert isinstance(p, str) and p == "bdc"
+    assert type(p + p) is str and type(p[1:]) is str
+    for t in range(2, 11):
+        pats = orbits_at_time(t)
+        plain = [str(q) for q in pats]
+        assert all(type(q) is Pattern for q in pats)
+        assert sorted(pats) == sorted(plain)
+        assert [hash(q) for q in pats] == [hash(q) for q in plain]
 
 
 @functools.lru_cache(maxsize=None)
@@ -49,10 +61,10 @@ def _closed_cycles(n):
 @given(st.integers(1, 10).flatmap(lambda n: st.sampled_from(_closed_cycles(n))), st.integers(0, 9))
 def test_canonicalize_is_rotation_invariant_and_idempotent(cycle, offset):
     p = Pattern(cycle)
-    assert p.letters == cycle
+    assert p == cycle
     r = offset % len(cycle)
     assert Pattern(cycle[r:] + cycle[:r]) == p
-    assert Pattern(p.letters) == p
+    assert Pattern(p) == p
 
 
 def test_canonicalize_rejects_open_paths():
@@ -63,8 +75,8 @@ def test_canonicalize_rejects_open_paths():
 
 
 def test_pattern_constructor_requires_canonical_form():
-    # The constructor brings any rotation to the canonical form it stores.
-    assert Pattern("bca").letters == "abc"
+    # The constructor brings any rotation to the canonical form it is.
+    assert Pattern("bca") == "abc"
 
 
 def test_orbit_index_examples():
@@ -127,7 +139,7 @@ def test_grow_examples():
 @pytest.mark.parametrize("t", range(2, 11))
 def test_grow_equals_per_candidate_canonicalisation(t):
     for p in orbits_at_time(t):
-        assert {min_rotation(c) for c in grow(p)} == grow_oracle(p.letters)
+        assert {min_rotation(c) for c in grow(p)} == grow_oracle(p)
 
 
 def test_trusted_constructions_build_what_the_checking_constructor_builds():
@@ -135,7 +147,7 @@ def test_trusted_constructions_build_what_the_checking_constructor_builds():
         pats = orbits_at_time(t)
         built = [*pats, *map(complete, generate(t)), *(primitive_root(p)[0] for p in pats)]
         for q in built:
-            assert Pattern(q.letters).letters == q.letters
+            assert Pattern(q) == q
 
 
 @settings(max_examples=200, deadline=None)
@@ -168,7 +180,7 @@ def test_orbits_at_small_times():
 
 def test_growth_matches_closed_walk_enumeration():
     for t in range(2, 10):
-        assert {p.letters for p in orbits_at_time(t)} == closed_cycles(t)
+        assert orbits_at_time(t) == closed_cycles(t)
 
 
 @pytest.mark.parametrize("t", range(1, 15))
@@ -306,7 +318,7 @@ def test_fundamental_orbits():
 
 
 def test_fundamental_orbits_against_johnson_enumeration():
-    assert {p.letters for p in fundamental_orbits()} == simple_cycles_networkx()
+    assert fundamental_orbits() == simple_cycles_networkx()
 
 
 def test_orbit_sets_past_the_cap_are_refused_before_growth():
@@ -332,19 +344,17 @@ def test_decompose_every_orbit_up_to_length_nine():
             dec = decompose(p)
             pieces = dec.fundamentals()
             assert set(pieces) <= fundamentals
-            assert sum((Counter(q.letters) for q in pieces), Counter()) == Counter(p.letters)
+            assert sum(map(Counter, pieces), Counter()) == Counter(p)
             assert dec.reglue() == p
 
 
 def test_decompose_random_length_ten_orbits():
     rng = np.random.default_rng(12)
-    pool = sorted(p.letters for p in orbits_at_time(10))
+    pool = sorted(orbits_at_time(10))
     for i in rng.choice(len(pool), size=12, replace=False):
         p = Pattern(pool[i])
         dec = decompose(p)
-        assert sum(
-            (Counter(q.letters) for q in dec.fundamentals()), Counter()
-        ) == Counter(p.letters)
+        assert sum(map(Counter, dec.fundamentals()), Counter()) == Counter(p)
         assert dec.reglue() == p
 
 
@@ -352,6 +362,14 @@ def test_primitive_root():
     assert primitive_root(Pattern("aa")) == (Pattern("a"), 2)
     assert primitive_root(Pattern("bcbc")) == (Pattern("bc"), 2)
     assert primitive_root(Pattern("abdc")) == (Pattern("abdc"), 1)
+
+
+@pytest.mark.parametrize("t", range(2, 15))
+def test_primitive_root_matches_the_divisor_scan(t):
+    for p in orbits_at_time(t):
+        root, multiplicity = primitive_root(p)
+        assert type(root) is Pattern
+        assert (root, multiplicity) == primitive_root_oracle(p)
 
 
 def test_periodic_point_examples():
@@ -375,9 +393,8 @@ def _double(x: Fraction) -> Fraction:
 
 @pytest.mark.parametrize("t", range(2, 11))
 def test_doubling_rotates_the_pattern_by_one_letter(t):
-    for p in orbits_at_time(t):
-        s = p.letters
-        assert periodic_point(p) == _point_of_letters(s)
+    for s in orbits_at_time(t):
+        assert periodic_point(s) == _point_of_letters(s)
         for i in range(t):
             rotation, next_rotation = s[i:] + s[:i], s[i + 1 :] + s[: i + 1]
             assert _double(_point_of_letters(rotation)) == _point_of_letters(next_rotation)
