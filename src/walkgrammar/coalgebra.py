@@ -18,10 +18,10 @@ dt(p) = 1 (x) p needs the arrow 1 -> p.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from itertools import chain
-from typing import Iterable, Union
+from typing import Iterable, NamedTuple, Union
 
 from .graphs import (
     EXT_SEP, DirectedGraph, de_bruijn_graph, de_bruijn_labels, extension, scalar_from_text,
@@ -121,24 +121,23 @@ class FormalSum:
         return " + ".join(parts)
 
 
-@dataclass(frozen=True, eq=True)
-class CoproductTable:
-    """Total map symbol -> sum of length-2 words over one alphabet."""
+class CoproductTable(namedtuple("CoproductTable", "alphabet rules")):
+    """Total map `rules` (dict[str, FormalSum]) from each symbol of `alphabet`
+    (tuple[str, ...]) to a sum of length-2 words over the alphabet."""
 
-    alphabet: tuple[str, ...]
-    rules: dict[str, FormalSum]
+    __slots__ = ()
 
-    def __post_init__(self):
-        symbols = set(self.alphabet)
-        if len(symbols) != len(self.alphabet):
+    def __new__(cls, alphabet: tuple[str, ...], rules: dict[str, FormalSum]):
+        symbols = set(alphabet)
+        if len(symbols) != len(alphabet):
             raise ValueError("alphabet symbols must be distinct")
-        missing = symbols - set(self.rules)
+        missing = symbols - set(rules)
         if missing:
             raise ValueError(f"coproduct table is not total: missing {sorted(missing)}")
-        extra = set(self.rules) - symbols
+        extra = set(rules) - symbols
         if extra:
             raise ValueError(f"rules for symbols outside the alphabet: {sorted(extra)}")
-        for symbol, image in self.rules.items():
+        for symbol, image in rules.items():
             if not image:
                 raise ValueError(f"empty coproduct image for {symbol!r} (sink vertex)")
             for word, _ in image:
@@ -149,6 +148,7 @@ class CoproductTable:
                     )
                 if not set(word) <= symbols:
                     raise ValueError(f"rule image of {symbol!r} leaves the alphabet")
+        return super().__new__(cls, alphabet, rules)
 
     def apply(self, symbol: str) -> FormalSum:
         return self.rules[symbol]
@@ -178,8 +178,7 @@ class CoproductTable:
         return cls(tuple(obj["alphabet"]), rules)
 
 
-@dataclass(frozen=True, eq=True)
-class CounitTable:
+class CounitTable(NamedTuple):
     """Total scalar map on an alphabet."""
 
     values: dict[str, Scalar]
@@ -205,7 +204,8 @@ def _strings(xs) -> bool:
 def _scalar_from_json(c) -> Scalar:
     if isinstance(c, str):
         return scalar_from_text(c)
-    if isinstance(c, int):
+    # JSON true and false load as bool, a subclass of int.
+    if isinstance(c, int) and not isinstance(c, bool):
         return c
     raise ValueError(f"scalar must be an int or a 'p/q' string, got {c!r}")
 
@@ -253,8 +253,7 @@ def apply_counit_at(counit: CounitTable, s: FormalSum, slot: int) -> FormalSum:
     )
 
 
-@dataclass(frozen=True)
-class AxiomReport:
+class AxiomReport(NamedTuple):
     """Outcome of one axiom check, with the first counterexample on failure."""
 
     axiom: str
@@ -405,7 +404,7 @@ def counit_e() -> CounitTable:
 def markov_pair_e() -> tuple[CoproductTable, CoproductTable]:
     """Markov pair read off the four-letter graph, the extension of the two-label De Bruijn graph."""
     edges = [(LETTER_OF[u], LETTER_OF[w]) for u, w in extension(de_bruijn_graph(2)).edges]
-    return markov_pair(DirectedGraph.build(FOUR_LETTERS, edges))
+    return markov_pair(DirectedGraph(FOUR_LETTERS, edges))
 
 
 def flower_coproducts() -> tuple[CoproductTable, CoproductTable]:
@@ -431,7 +430,7 @@ def markov_fixtures() -> dict[str, tuple[CoproductTable, CoproductTable]]:
     triangle = [("1", "1"), ("x0", "x1"), ("x1", "x2"), ("x2", "x0")]
     fixtures = {
         "extension-four-letter": markov_pair_e(),
-        "triangle": markov_pair(DirectedGraph.build(("1", "x0", "x1", "x2"), triangle)),
+        "triangle": markov_pair(DirectedGraph(("1", "x0", "x1", "x2"), triangle)),
         "flower-3": flower_coproducts(),
     }
     for p in range(2, 6):

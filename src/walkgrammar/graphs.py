@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from typing import Iterable
 
@@ -14,19 +14,17 @@ EXT_SEP = "|"
 DIMENSION_MAX = 64
 
 
-@dataclass(frozen=True)
-class DirectedGraph:
-    vertices: frozenset[str]
-    edges: frozenset[tuple[str, str]]
+class DirectedGraph(namedtuple("DirectedGraph", "vertices edges")):
+    """`vertices` (frozenset[str]) and the arrows between them (frozenset[tuple[str, str]])."""
 
-    def __post_init__(self):
-        for u, v in self.edges:
-            if u not in self.vertices or v not in self.vertices:
+    __slots__ = ()
+
+    def __new__(cls, vertices: Iterable[str], edges: Iterable[tuple[str, str]]):
+        vertices, edges = frozenset(vertices), frozenset(tuple(e) for e in edges)
+        for u, v in edges:
+            if u not in vertices or v not in vertices:
                 raise ValueError(f"edge ({u!r}, {v!r}) leaves the vertex set")
-
-    @classmethod
-    def build(cls, vertices: Iterable[str], edges: Iterable[tuple[str, str]]) -> "DirectedGraph":
-        return cls(frozenset(vertices), frozenset(tuple(e) for e in edges))
+        return super().__new__(cls, vertices, edges)
 
     def to_dot(self) -> str:
         lines = ["digraph G {"]
@@ -56,7 +54,7 @@ def de_bruijn_labels(p: int) -> tuple[str, ...]:
 def de_bruijn_graph(p: int) -> DirectedGraph:
     """Complete directed graph on p vertices with a loop at each vertex."""
     labels = de_bruijn_labels(p)
-    return DirectedGraph.build(labels, [(u, v) for u in labels for v in labels])
+    return DirectedGraph(labels, [(u, v) for u in labels for v in labels])
 
 
 def extension(g: DirectedGraph) -> DirectedGraph:
@@ -70,7 +68,7 @@ def extension(g: DirectedGraph) -> DirectedGraph:
         for (x, y) in g.edges
         if v == x
     ]
-    return DirectedGraph.build(names.values(), new_edges)
+    return DirectedGraph(names.values(), new_edges)
 
 
 # Exact scalars as text.  Fraction also parses exponents and decimals, and
@@ -88,33 +86,28 @@ def scalar_from_text(text: str) -> Fraction:
         raise ValueError(f"scalar {text!r} has a zero denominator") from None
 
 
-def _as_fraction(x) -> Fraction:
-    if isinstance(x, str):
-        return scalar_from_text(x)
-    if isinstance(x, float):
-        raise TypeError("stochastic matrices are exact; pass Fraction, int or 'p/q'")
-    return Fraction(x)
+class StochMatrix(namedtuple("StochMatrix", "rows")):
+    """Square matrix `rows` (tuple[tuple[Fraction, ...], ...]) of nonnegative rationals with
+    unit row sums; each entry is given as a Fraction, an int or a 'p/q' string, never a float."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True)
-class StochMatrix:
-    """Square matrix of nonnegative rationals with unit row sums."""
-
-    rows: tuple[tuple[Fraction, ...], ...]
-
-    def __post_init__(self):
-        m = len(self.rows)
-        for row in self.rows:
-            if len(row) != m:
+    def __new__(cls, rows: Iterable[Iterable]):
+        rows = tuple(map(tuple, rows))
+        if any(isinstance(x, float) for row in rows for x in row):
+            raise TypeError("stochastic matrices are exact; pass Fraction, int or 'p/q'")
+        rows = tuple(
+            tuple(scalar_from_text(x) if isinstance(x, str) else Fraction(x) for x in row)
+            for row in rows
+        )
+        for row in rows:
+            if len(row) != len(rows):
                 raise ValueError("matrix must be square")
             if any(x < 0 for x in row):
                 raise ValueError("entries must be nonnegative")
             if sum(row) != 1:
                 raise ValueError("every row must sum to 1")
-
-    @classmethod
-    def from_rows(cls, rows: Iterable[Iterable]) -> "StochMatrix":
-        return cls(tuple(tuple(_as_fraction(x) for x in row) for row in rows))
+        return super().__new__(cls, rows)
 
     @property
     def dimension(self) -> int:
@@ -143,7 +136,7 @@ def bernoulli_matrix(n: int) -> StochMatrix:
 
 def regular_system_matrix() -> StochMatrix:
     """3x3 permutation fixture of the zero-entropy staircase map."""
-    return StochMatrix.from_rows([[0, 0, 1], [1, 0, 0], [0, 1, 0]])
+    return StochMatrix([[0, 0, 1], [1, 0, 0], [0, 1, 0]])
 
 
 def ks_entropy(b: StochMatrix) -> float:

@@ -24,8 +24,8 @@ on [0, 1] with 1 fixed; on the circle a^t (x = 0) and d^t (x = 1) meet.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .language import COASSOC_RULES, LETTER, LETTERS, SUCCESSORS, WINDOW, require_path_word
 from .language import pq_index, require_word_time, vertices
@@ -164,8 +164,7 @@ def fundamental_orbits() -> frozenset[Pattern]:
     return frozenset(cycles)
 
 
-@dataclass(frozen=True)
-class Decomposition:
+class Decomposition(NamedTuple):
     """Peeling of a closed walk into simple cycles of the extension graph.
 
     `peeled` lists the extracted cycles innermost first, each anchored at

@@ -12,7 +12,8 @@ where juxtaposition is the ordinary matrix product.
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass
+from collections import namedtuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -82,22 +83,21 @@ def is_unistochastic(b: StochMatrix, u: np.ndarray) -> bool:
     return bool(np.max(np.abs(np.abs(u) ** 2 - target)) <= WITNESS_TOL)
 
 
-@dataclass(frozen=True)
-class CoinPair:
-    """Row split of a 2x2 unitary: P is row one, Q is row two."""
+class CoinPair(namedtuple("CoinPair", "P Q")):
+    """Row split of a 2x2 unitary: P is row one, Q is row two, each a read-only complex
+    (2, 2) np.ndarray."""
 
-    P: np.ndarray
-    Q: np.ndarray
+    __slots__ = ()
 
-    def __post_init__(self):
-        for name, m in (("P", self.P), ("Q", self.Q)):
-            m = np.asarray(m, dtype=complex)
+    def __new__(cls, P: np.ndarray, Q: np.ndarray):
+        P, Q = np.asarray(P, dtype=complex), np.asarray(Q, dtype=complex)
+        for name, m in (("P", P), ("Q", Q)):
             if m.shape != (2, 2):
                 raise ValueError(f"{name} must be 2x2")
-            object.__setattr__(self, name, m)
             m.setflags(write=False)
-        if np.any(self.P[1] != 0) or np.any(self.Q[0] != 0):
+        if np.any(P[1] != 0) or np.any(Q[0] != 0):
             raise ValueError("P must have a zero second row and Q a zero first row")
+        return super().__new__(cls, P, Q)
 
     @classmethod
     def from_unitary(cls, u: np.ndarray) -> "CoinPair":
@@ -111,8 +111,7 @@ def hadamard_coin() -> CoinPair:
     return CoinPair.from_unitary(hadamard())
 
 
-@dataclass(frozen=True)
-class ChannelReport:
+class ChannelReport(NamedTuple):
     right_identity: bool
     left_identity: bool
     orthogonal: bool
@@ -145,8 +144,7 @@ def verify_channel(entries) -> ChannelReport:
     )
 
 
-@dataclass(frozen=True)
-class PQRelationsReport:
+class PQRelationsReport(NamedTuple):
     ok: bool
     max_deviation: float
 

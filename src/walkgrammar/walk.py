@@ -74,8 +74,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
-from typing import Iterator, Sequence
+from collections import namedtuple
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -90,8 +90,7 @@ COMMUTATOR_TOL = 1e-14
 NUMERIC_MAX_STEPS = 100_000
 
 
-@dataclass(frozen=True)
-class SymbolicState:
+class SymbolicState(NamedTuple):
     """Words per occupied vertex at a fixed time, each cell a strictly increasing tuple."""
 
     time: int
@@ -161,19 +160,18 @@ def symbolic_cells(steps: int) -> Iterator[str]:
     return pq_cells(steps, vertices(steps))
 
 
-@dataclass(frozen=True)
-class NumericState:
-    """Summed word matrices per occupied vertex, in the order of `vertices(time)`."""
+class NumericState(namedtuple("NumericState", "time amps")):
+    """Summed word matrices `amps`, a read-only complex np.ndarray of shape (time + 1, 2, 2):
+    one per occupied vertex at the int `time`, in the order of `vertices(time)`."""
 
-    time: int
-    amps: np.ndarray
+    __slots__ = ()
 
-    def __post_init__(self):
-        a = np.asarray(self.amps, dtype=complex)
-        if a.shape != (self.time + 1, 2, 2):
-            raise ValueError(f"expected shape {(self.time + 1, 2, 2)}, got {a.shape}")
-        object.__setattr__(self, "amps", a)
+    def __new__(cls, time: int, amps: np.ndarray):
+        a = np.asarray(amps, dtype=complex)
+        if a.shape != (time + 1, 2, 2):
+            raise ValueError(f"expected shape {(time + 1, 2, 2)}, got {a.shape}")
         a.setflags(write=False)
+        return super().__new__(cls, time, a)
 
 
 def _advance(src: np.ndarray, dst: np.ndarray, tmp: np.ndarray, coin: CoinPair) -> None:
@@ -313,8 +311,7 @@ def dispersion_up(x: FormalSum) -> FormalSum:
     return FormalSum(((k + 1, w + "Q"), c) for (k, w), c in x)
 
 
-@dataclass(frozen=True)
-class CommutatorReport:
+class CommutatorReport(NamedTuple):
     symbolic_ok: bool
     numeric_ok: bool
     max_deviation: float

@@ -686,6 +686,17 @@ def test_verify_axiom_rejects_malformed_json(capsys, tmp_path, option, blob):
     assert_one_line_error(*run_cli(capsys, *argv, option, str(bad_file)))
 
 
+def test_verify_axiom_refuses_a_boolean_counit(capsys, tmp_path):
+    # The four-letter counit with true for 1 and false for 0 passed as that counit.
+    delta_file = INPUTS / "coproduct-e.json"
+    counit_file = tmp_path / "counit.json"
+    counit_file.write_text(json.dumps({"values": {"a": True, "b": False, "c": False, "d": True}}))
+    argv = ["verify", "axiom", "--axiom", "right-counit", "--delta", str(delta_file)]
+    code, out, err = run_cli(capsys, *argv, "--counit", str(counit_file))
+    assert_one_line_error(code, out, err)
+    assert err == "error: scalar must be an int or a 'p/q' string, got True\n"
+
+
 def test_verify_axiom_names_the_symbol_a_counit_misses(capsys, tmp_path):
     delta_file = INPUTS / "coproduct-e.json"
     counit_file = tmp_path / "counit.json"

@@ -182,7 +182,7 @@ def test_flower_is_not_read_off_a_graph():
     delta, _ = coalgebra.flower_coproducts()
     arrows = [word for v in delta.alphabet for word, _ in delta.apply(v)]
     with pytest.raises(ValueError, match="'p1' is a source"):
-        markov_pair(graphs.DirectedGraph.build(delta.alphabet, arrows))
+        markov_pair(graphs.DirectedGraph(delta.alphabet, arrows))
 
 
 def test_coalgebra_suite_builds_the_markov_fixtures_once(monkeypatch):
@@ -249,7 +249,7 @@ def test_apply_counit_at_contracts_one_slot():
 
 
 def test_markov_pair_rejects_sources_and_sinks():
-    graph = graphs.DirectedGraph.build
+    graph = graphs.DirectedGraph
     with pytest.raises(ValueError, match="sink"):
         markov_pair(graph("ab", [("a", "b"), ("a", "a")]))
     with pytest.raises(ValueError, match="source"):
@@ -298,7 +298,7 @@ def test_four_letter_tables_match_the_paper():
     rules = {x: sum_of(*images) for x, images in PAPER_COPRODUCT.items()}
     assert coalgebra.coproduct_e() == CoproductTable(("a", "b", "c", "d"), rules)
     assert coalgebra.counit_e() == CounitTable(PAPER_COUNIT)
-    paper_graph = graphs.DirectedGraph.build("abcd", [tuple(w) for w in PAPER_ARROWS])
+    paper_graph = graphs.DirectedGraph("abcd", [tuple(w) for w in PAPER_ARROWS])
     assert coalgebra.markov_pair_e() == markov_pair(paper_graph)
     dm, dt = coalgebra.markov_pair_e()
     assert dm.rules["c"] == sum_of("ca", "cb")
@@ -321,6 +321,8 @@ def test_four_letter_tables_match_the_paper():
         {"alphabet": ["a"], "rules": {"a": [["a", "a"]]}},
         {"alphabet": ["a"], "rules": {"a": [[["a"], "a", 1]]}},
         {"alphabet": ["a"], "rules": {"a": [["a", "a", "1/0"]]}},
+        # JSON true loads as Python True, an int equal to 1.
+        {"alphabet": ["a"], "rules": {"a": [["a", "a", True]]}},
     ],
 )
 def test_coproduct_json_rejects_wrong_shapes(blob):
@@ -328,7 +330,9 @@ def test_coproduct_json_rejects_wrong_shapes(blob):
         CoproductTable.from_json(blob)
 
 
-@pytest.mark.parametrize("blob", [[1], {"values": 3}, {"values": {"a": [1]}}, {"a": 1}])
+@pytest.mark.parametrize(
+    "blob", [[1], {"values": 3}, {"values": {"a": [1]}}, {"a": 1}, {"values": {"a": True}}]
+)
 def test_counit_json_rejects_wrong_shapes(blob):
     with pytest.raises(ValueError):
         CounitTable.from_json(blob)

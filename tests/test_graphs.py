@@ -71,11 +71,11 @@ def test_extension_graph_is_the_extension_coproduct(p):
 
 
 def test_extension_fixed_points():
-    loop = DirectedGraph.build(["v"], [("v", "v")])
+    loop = DirectedGraph(["v"], [("v", "v")])
     ext = extension(loop)
     assert len(ext.vertices) == 1 and len(ext.edges) == 1
 
-    triangle = DirectedGraph.build("xyz", [("x", "y"), ("y", "z"), ("z", "x")])
+    triangle = DirectedGraph("xyz", [("x", "y"), ("y", "z"), ("z", "x")])
     ext = extension(triangle)
     assert len(ext.vertices) == 3
     # Hand enumeration: the three edges chain cyclically and nothing else.
@@ -93,27 +93,27 @@ def test_bernoulli_matrix():
 
 def test_stoch_matrix_validation():
     with pytest.raises(ValueError, match="row"):
-        StochMatrix.from_rows([[1, 1], [0, 1]])
+        StochMatrix([[1, 1], [0, 1]])
     with pytest.raises(ValueError, match="square"):
-        StochMatrix.from_rows([[1, 0]])
+        StochMatrix([[1, 0]])
     with pytest.raises(TypeError):
-        StochMatrix.from_rows([[0.5, 0.5], [0.5, 0.5]])
+        StochMatrix([[0.5, 0.5], [0.5, 0.5]])
 
 
 def test_stoch_matrix_text_entries_are_integers_or_fractions():
-    assert StochMatrix.from_rows([["1/3", "2/3"], [1, "0"]]).rows == (
+    assert StochMatrix([["1/3", "2/3"], [1, "0"]]).rows == (
         (Fraction(1, 3), Fraction(2, 3)),
         (Fraction(1), Fraction(0)),
     )
     for text in ("0.5", " 1", "1/0"):
         with pytest.raises(ValueError, match="scalar"):
-            StochMatrix.from_rows([[text]])
+            StochMatrix([[text]])
 
 
 def test_exponent_entry_is_refused_at_once():
     # Fraction reads "1e10000000" as a ten-million-digit integer, which runs for minutes.
     src = str(Path(graphs.__file__).resolve().parents[1])
-    code = "from walkgrammar.graphs import StochMatrix; StochMatrix.from_rows([['1e10000000']])"
+    code = "from walkgrammar.graphs import StochMatrix; StochMatrix([['1e10000000']])"
     done = subprocess.run(
         [sys.executable, "-c", code],
         env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=10,
@@ -126,7 +126,7 @@ def test_exponent_entry_is_refused_at_once():
 
 def test_ks_entropy_zero_iff_deterministic():
     assert ks_entropy(regular_system_matrix()) == 0.0
-    assert ks_entropy(StochMatrix.from_rows([[1, 0], [0, 1]])) == 0.0
+    assert ks_entropy(StochMatrix([[1, 0], [0, 1]])) == 0.0
 
 
 def test_ks_entropy_of_uniform_matrices():
@@ -142,7 +142,7 @@ def test_verify_checks_ks_entropy():
 
 
 def test_ks_entropy_rejects_non_bistochastic():
-    b = StochMatrix.from_rows([[1, 0], [Fraction(1, 2), Fraction(1, 2)]])
+    b = StochMatrix([[1, 0], [Fraction(1, 2), Fraction(1, 2)]])
     assert not b.is_bistochastic
     with pytest.raises(ValueError):
         ks_entropy(b)
@@ -172,7 +172,7 @@ def test_x_decomposition_sums_to_b_on_random_matrices():
 def test_x_relations_on_uniform_and_identity():
     for n in range(2, 9):
         assert verify_x_relations(bernoulli_matrix(n))
-    assert verify_x_relations(StochMatrix.from_rows([[1, 0], [0, 1]]))
+    assert verify_x_relations(StochMatrix([[1, 0], [0, 1]]))
 
 
 def test_x_relations_report_failures_on_permutation():
@@ -186,7 +186,7 @@ def test_x_relations_report_failures_on_permutation():
 def test_x_relations_match_the_dense_product_oracle():
     quarter, half = Fraction(1, 4), Fraction(1, 2)
     # Non-uniform: half the identity, a quarter each of two other permutations.
-    mixed = StochMatrix.from_rows(
+    mixed = StochMatrix(
         [
             [half + quarter, quarter, 0, 0],
             [quarter, half, quarter, 0],
@@ -196,7 +196,7 @@ def test_x_relations_match_the_dense_product_oracle():
     )
     assert mixed.is_bistochastic
     matrices = [bernoulli_matrix(n) for n in range(2, 7)] + [
-        StochMatrix.from_rows([[int(i == j) for j in range(4)] for i in range(4)]),
+        StochMatrix([[int(i == j) for j in range(4)] for i in range(4)]),
         regular_system_matrix(),
         mixed,
     ]

@@ -1,0 +1,24 @@
+"""The validated records are immutable: no field can be set, and no array they hold can be written."""
+
+import numpy as np
+import pytest
+
+from walkgrammar import coalgebra, graphs, quantize, walk
+
+RECORDS = [
+    graphs.de_bruijn_graph(2),
+    graphs.bernoulli_matrix(2),
+    coalgebra.coproduct_e(),
+    quantize.CoinPair([[1, 0], [0, 0]], [[0, 0], [0, 1]]),
+    walk.NumericState(1, np.zeros((2, 2, 2))),
+]
+
+
+@pytest.mark.parametrize("record", RECORDS, ids=lambda r: type(r).__name__)
+def test_a_validated_record_is_immutable(record):
+    for field, value in zip(record._fields, record):
+        with pytest.raises(AttributeError):
+            setattr(record, field, value)
+        if isinstance(value, np.ndarray):
+            with pytest.raises(ValueError, match="read-only"):
+                value[...] = 0

@@ -23,6 +23,10 @@ through the module that defines it, never through a second namespace.
 No module reads another module's private name, as `module._name` or
 `from .module import _name`: what one module needs from another is public,
 so the caller rule sees it.
+
+Records are named tuples, and a validated record checks its fields in
+`__new__`.  No module imports `dataclasses`, and none calls a named tuple's
+`_make` or `_replace`, which build a record without calling `__new__`.
 """
 
 import ast
@@ -301,3 +305,47 @@ def private_reads(paths) -> list[str]:
 def test_no_module_reads_another_modules_private_name():
     offenders = private_reads(MODULES)
     assert not offenders, f"private names read from another module: {offenders}"
+
+
+def record_bypasses(paths) -> list[str]:
+    """Every import of dataclasses and every `._make(` or `._replace(` call."""
+    found = []
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+                names = [f".{node.func.attr}("]
+            else:
+                continue
+            found += [
+                f"{path.name}:{node.lineno}: {name}"
+                for name in names
+                if name.split(".")[0] == "dataclasses" or name in ("._make(", "._replace(")
+            ]
+    return found
+
+
+def test_records_are_built_through_their_constructor():
+    offenders = record_bypasses(MODULES)
+    assert not offenders, f"dataclasses imports or constructor bypasses: {offenders}"
+
+
+def test_a_dataclass_import_or_a_constructor_bypass_is_found(tmp_path):
+    (tmp_path / "m.py").write_text(
+        "import dataclasses\n"
+        "from dataclasses import dataclass\n"
+        "from collections import namedtuple\n"
+        "Pair = namedtuple('Pair', 'a b')\n"
+        "p = Pair._make([1, 2])._replace(a=3)\n"
+        "q = p.replace('a', 'b')\n",
+        encoding="utf-8",
+    )
+    assert record_bypasses([tmp_path / "m.py"]) == [
+        "m.py:1: dataclasses",
+        "m.py:2: dataclasses",
+        "m.py:5: ._replace(",
+        "m.py:5: ._make(",
+    ]
