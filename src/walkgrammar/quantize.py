@@ -90,7 +90,8 @@ class CoinPair(namedtuple("CoinPair", "P Q")):
     __slots__ = ()
 
     def __new__(cls, P: np.ndarray, Q: np.ndarray):
-        P, Q = np.asarray(P, dtype=complex), np.asarray(Q, dtype=complex)
+        # Copies: freezing an array the caller holds would not keep the caller from thawing it.
+        P, Q = (np.array(m, dtype=complex, order="C") for m in (P, Q))
         for name, m in (("P", P), ("Q", Q)):
             if m.shape != (2, 2):
                 raise ValueError(f"{name} must be 2x2")
@@ -188,13 +189,28 @@ def jones_parameter(coin: CoinPair) -> complex:
     return lam
 
 
+def _number_block(block) -> np.ndarray:
+    """A nested list of JSON numbers as a float array; TypeError on any other entry.
+
+    Each entry is checked itself: JSON true loads as a bool, which is an int, numpy
+    reads the string "1" as 1.0, and an array's dtype shows neither.
+    """
+    stack = [block]
+    while stack:
+        x = stack.pop()
+        if isinstance(x, list):
+            stack.extend(x)
+        elif type(x) not in (int, float):
+            raise TypeError("not a number")
+    return np.asarray(block, dtype=float)
+
+
 def coin_from_json(obj) -> np.ndarray:
     """Parse {re: [[..]], im: [[..]]} into a complex matrix; ValueError on other shapes."""
     if not isinstance(obj, dict) or not {"re", "im"} <= obj.keys():
         raise ValueError("coin JSON must be an object {re: [[..]], im: [[..]]}")
     try:
-        re = np.asarray(obj["re"], dtype=float)
-        im = np.asarray(obj["im"], dtype=float)
+        re, im = (_number_block(obj[key]) for key in ("re", "im"))
     except (TypeError, ValueError, OverflowError):
         raise ValueError("coin JSON blocks re and im must be matrices of numbers") from None
     if re.shape != im.shape:

@@ -54,20 +54,23 @@ products start each entry from +0).  The sign of a zero never changes a
 nonzero sum or product, so printed probabilities do not change.
 
 One kernel, `_advance`, writes the two outer products into preallocated
-buffers.  It works on entry planes, shape (2, 2, cells): plane (r, c)
-holds entry (r, c) of every cell, and for each row r its four numpy
-calls on the (2, cells) slice run contiguous inner loops over the
-cells.  On (cells, 2, 2) storage the same calls broadcast over an inner
-axis of length 2 and pay numpy's loop overhead once per cell; on whole
-(2, 2, cells) slices numpy copies the operands through iterator
-buffers, which doubles peak memory.  Each entry still gets the same two
-products and the same one addition, so the planes hold the same bytes.
+column planes, complex buffers of shape (2, 2 cells): entry (r, c) of cell
+j sits at [c, 2j + r], so plane c holds column c of every cell with the
+cell's two rows side by side.  One step is three numpy calls covering both
+rows: column 0 times P[0] into the new cells, column 1 times Q[1] into a
+scratch plane, and one `+=` shifted by a cell.  As a cell's rows are
+adjacent, every operand is a slice of the planes' own dtype with a
+contiguous last axis (the coin row broadcasts as (2, 1)), so numpy needs
+no cast, copy or iterator buffer and the calls allocate nothing.  Each
+entry still gets the same two products and the same one addition, so the
+planes hold the same bytes.  The buffers start as zeros, and step n
+writes a buffer only below index 2n + 4: the last new cell, which has no
+P term, is its Q term added to zeros no earlier step wrote.
 Past about 2000 steps the walk's tails hold subnormal doubles, whose
 arithmetic is slow on many x86 CPUs; no layout that keeps the bytes
-avoids that cost.  `run_numeric` swaps two plane buffers from step to
-step and copies the result into the spare one in the (cells, 2, 2)
-layout of `NumericState`; `step_numeric` runs the kernel on transposed
-views of that layout.
+avoids that cost.  `run_numeric` swaps two planes from step to step, and
+`NumericState` copies the last one into its (cells, 2, 2) layout;
+`step_numeric` runs the kernel on a column-plane copy of that layout.
 """
 
 from __future__ import annotations
@@ -86,7 +89,7 @@ from .quantize import CoinPair
 PROB_TOL = 1e-10
 UNITARITY_TOL = 1e-10
 COMMUTATOR_TOL = 1e-14
-# run_numeric holds three (2, 2, steps + 1) complex buffers: 6.4 MB each, 19.2 MB at the cap.
+# run_numeric holds three (2, 2 steps + 2) complex column planes: 6.4 MB each, 19.2 MB at the cap.
 NUMERIC_MAX_STEPS = 100_000
 
 
@@ -167,7 +170,7 @@ class NumericState(namedtuple("NumericState", "time amps")):
     __slots__ = ()
 
     def __new__(cls, time: int, amps: np.ndarray):
-        a = np.asarray(amps, dtype=complex)
+        a = np.array(amps, dtype=complex, order="C")  # a copy: the caller's array stays its own
         if a.shape != (time + 1, 2, 2):
             raise ValueError(f"expected shape {(time + 1, 2, 2)}, got {a.shape}")
         a.setflags(write=False)
@@ -175,28 +178,23 @@ class NumericState(namedtuple("NumericState", "time amps")):
 
 
 def _advance(src: np.ndarray, dst: np.ndarray, tmp: np.ndarray, coin: CoinPair) -> None:
-    """Write the m + 1 cells after src's m cells into dst[..., :m + 1]; tmp holds m cells.
+    """Write the m + 1 cells after src's m cells into dst[:, :2m + 2]; tmp holds m cells.
 
-    All three are entry planes, shape (2, 2, cells), taken one row r at a time.
+    All three are column planes (module docstring).  dst[:, 2m:2m + 2] must be
+    zeros: the last new cell is only its Q term, added there.
     """
-    m = src.shape[2]
-    for s, d, t in zip(src, dst, tmp):
-        np.multiply(s[0], coin.P[0][:, None], out=d[:, :m])
-        d[:, m] = 0
-        np.multiply(s[1], coin.Q[1][:, None], out=t[:, :m])
-        d[:, 1 : m + 1] += t[:, :m]
-
-
-def _planes(amps: np.ndarray) -> np.ndarray:
-    """Entry-plane view of (cells, 2, 2) storage."""
-    return amps.transpose(1, 2, 0)
+    w = src.shape[1]
+    np.multiply(src[0], coin.P[0][:, None], out=dst[:, :w])
+    np.multiply(src[1], coin.Q[1][:, None], out=tmp[:, :w])
+    dst[:, 2 : w + 2] += tmp[:, :w]
 
 
 def step_numeric(s: NumericState, coin: CoinPair) -> NumericState:
     n = s.time
-    amps = np.empty((n + 2, 2, 2), dtype=complex)
-    _advance(_planes(s.amps), _planes(amps), np.empty((2, 2, n + 1), dtype=complex), coin)
-    return NumericState(n + 1, amps)
+    src = s.amps.transpose(2, 0, 1).reshape(2, 2 * n + 2)
+    dst = np.zeros((2, 2 * n + 4), dtype=complex)
+    _advance(src, dst, np.empty_like(src), coin)
+    return NumericState(n + 1, dst.reshape(2, n + 2, 2).transpose(1, 2, 0))
 
 
 def _require_numeric_steps(steps: int) -> None:
@@ -208,14 +206,14 @@ def _require_numeric_steps(steps: int) -> None:
 
 def run_numeric(coin: CoinPair, steps: int) -> NumericState:
     _require_numeric_steps(steps)
-    cur, nxt, tmp = (np.empty((2, 2, steps + 1), dtype=complex) for _ in range(3))
-    cur[:, :, 0] = np.eye(2)
+    # Zeros: step n writes a plane only below index 2n + 4 (module docstring).
+    cur, nxt, tmp = (np.zeros((2, 2 * steps + 2), dtype=complex) for _ in range(3))
+    cur[:, :2] = np.eye(2)
     for n in range(steps):
-        _advance(cur[:, :, : n + 1], nxt, tmp, coin)
+        _advance(cur[:, : 2 * n + 2], nxt, tmp, coin)
         cur, nxt = nxt, cur
-    amps = nxt.reshape(steps + 1, 2, 2)
-    _planes(amps)[...] = cur
-    return NumericState(steps, amps)
+    del nxt, tmp  # before NumericState copies cur: three planes stay the peak
+    return NumericState(steps, cur.reshape(2, steps + 1, 2).transpose(1, 2, 0))
 
 
 def word_matrix(word: str, coin: CoinPair) -> np.ndarray:

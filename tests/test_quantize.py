@@ -156,6 +156,12 @@ def test_coin_from_json():
         {"re": [[1, 0], [0, 1]]},
         {"re": [[1, 0], [0, 1]], "im": {"a": 1}},
         {"re": [[1, 0], [0, 1]], "im": [[0, 0], [0]]},
+        # Entries that are not JSON numbers, which np.asarray would read as 1.0 or 0.0.
+        {"re": [[True, False], [False, True]], "im": [[0, 0], [0, 0]]},
+        # One int beside the bool: the array would be int and hide the bool.
+        {"re": [[True, 1], [0, 1]], "im": [[0, 0], [0, 0]]},
+        {"re": [["1", "0"], ["0", "1"]], "im": [[0, 0], [0, 0]]},
+        {"re": [[1, 0], [0, 1]], "im": [["0", 0], [0, 0]]},
     ],
 )
 def test_coin_from_json_rejects_wrong_shapes(blob):

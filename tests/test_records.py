@@ -22,3 +22,15 @@ def test_a_validated_record_is_immutable(record):
         if isinstance(value, np.ndarray):
             with pytest.raises(ValueError, match="read-only"):
                 value[...] = 0
+
+
+def test_a_record_copies_the_complex_array_it_is_given():
+    # np.asarray returns a complex array itself, so freezing it would freeze the
+    # caller's array, which the caller may thaw and then write through the record.
+    p = np.array([[1, 0], [0, 0]], dtype=complex)
+    amps = np.zeros((1, 2, 2), dtype=complex)
+    coin = quantize.CoinPair(p, [[0, 0], [0, 1]])
+    state = walk.NumericState(0, amps)
+    assert p.flags.writeable and amps.flags.writeable
+    p[0, 0] = amps[0, 0, 0] = 7
+    assert coin.P[0, 0] == 1 and state.amps[0, 0, 0] == 0

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -131,10 +132,12 @@ def test_run_numeric_equals_the_matmul_recurrence_for_hadamard():
 
 
 def test_run_numeric_equals_the_matmul_recurrence_for_a_complex_coin_at_2000_steps():
-    coin = CoinPair.from_unitary(coin_from_angles(0.7, 0.3, -1.1))
-    amps = run_numeric(coin, 2000).amps
-    assert amps.shape == (2001, 2, 2) and amps.flags.c_contiguous
-    assert np.array_equal(amps, matmul_walk(coin, 2000))
+    # The second coin's tails go subnormal by 2000 steps (893 subnormal doubles).
+    for angles in ((0.7, 0.3, -1.1), (1.0, 2.6, 2.9)):
+        coin = CoinPair.from_unitary(coin_from_angles(*angles))
+        amps = run_numeric(coin, 2000).amps
+        assert amps.shape == (2001, 2, 2) and amps.flags.c_contiguous
+        assert np.array_equal(amps, matmul_walk(coin, 2000)), angles
 
 
 ANGLE = st.floats(-math.pi, math.pi, allow_nan=False)
@@ -153,7 +156,23 @@ def test_step_numeric_continues_run_numeric(theta, phi1, phi2, steps):
     coin = CoinPair.from_unitary(coin_from_angles(theta, phi1, phi2))
     stepped = step_numeric(run_numeric(coin, steps), coin)
     assert stepped.time == steps + 1
-    assert np.array_equal(stepped.amps, run_numeric(coin, steps + 1).amps)
+    # One kernel behind both: the same bits, signs of zeros included.
+    bits = np.uint64
+    assert np.array_equal(stepped.amps.view(bits), run_numeric(coin, steps + 1).amps.view(bits))
+
+
+def test_run_numeric_holds_three_column_planes_at_its_peak():
+    # The memory claim beside NUMERIC_MAX_STEPS: three planes, no per-step temporaries.
+    steps = 3000
+    plane = 2 * (2 * steps + 2) * np.dtype(complex).itemsize
+    coin = hadamard_coin()
+    tracemalloc.start()
+    try:
+        run_numeric(coin, steps)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * plane * 1.1
 
 
 def test_distribution_at_400_steps_against_spinor_oracle():
