@@ -33,10 +33,12 @@ steps), not to a number of significant digits: cells far below the peak are
 noise.  The SVG rounds every bar to 0.01 px.
 
 Only `walk run`, `walk plot`, `coin check`, `verify all` and `orbits verify`
-import numpy, with `quantize`, `walk` and `verify`, inside the command: they
-need complex coin entries or the walk's amplitudes.  The word, orbit, graph
-and coalgebra commands are exact string and rational arithmetic, and they
-skip the numpy import, which takes longer than the interpreter's own start.
+import numpy, with `quantize`, `walk` and `verify`, inside the command.  The
+first four need complex coin entries or the walk's amplitudes; the orbit
+suite needs neither, and loads numpy only because `verify` does.  The word,
+orbit, graph and coalgebra commands are exact string and rational
+arithmetic, and they skip the numpy import, which takes longer than the
+interpreter's own start.
 Every matrix product these commands make is small: 2x2 cells, and at most
 5x5 in `verify`.  So `main` sets OPENBLAS_NUM_THREADS to 1 before numpy
 loads and each command runs as one thread.  Otherwise OpenBLAS starts one
@@ -113,12 +115,13 @@ def _resolve_coin(args):
 
 
 def _parse_psi(text: str):
-    import numpy as np
+    """The unit spinor --psi names, refused before any walk runs."""
+    from . import walk
     parts = text.split(",")
     if len(parts) != 4:
         raise ValueError("--psi expects four comma-separated numbers: re,im,re,im")
     values = [float(p) for p in parts]
-    return np.array([values[0] + 1j * values[1], values[2] + 1j * values[3]])
+    return walk.unit_spinor([values[0] + 1j * values[1], values[2] + 1j * values[3]])
 
 
 def _emit(chunks: Iterable[str], args) -> None:

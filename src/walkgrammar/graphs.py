@@ -157,7 +157,7 @@ def x_decomposition(b: StochMatrix) -> list[tuple[tuple[Fraction, ...], ...]]:
     """Split B into row matrices X_h keeping row h and zeroing the rest.
 
     The partition property sum_h X_h = B is verified exactly before
-    returning; the product relations live in `verify_x_relations`.
+    returning; the product relations are checked in `verify.verify_x_relations`.
     """
     m = b.dimension
     zero_row = tuple(Fraction(0) for _ in range(m))
@@ -167,34 +167,3 @@ def x_decomposition(b: StochMatrix) -> list[tuple[tuple[Fraction, ...], ...]]:
             if sum(e[i][j] for e in entries) != b.rows[i][j]:
                 raise AssertionError(f"row matrices do not sum to B at ({i}, {j})")
     return entries
-
-
-def _mat_mul_exact(a, b):
-    """Exact product a.b; only products of two nonzero entries are formed."""
-    b_terms = [[(j, y) for j, y in enumerate(row) if y] for row in b]
-    product = []
-    for row in a:
-        acc = [Fraction(0)] * len(row)
-        for k, x in enumerate(row):
-            if x:
-                for j, y in b_terms[k]:
-                    acc[j] += x * y
-        product.append(tuple(acc))
-    return tuple(product)
-
-
-def verify_x_relations(b: StochMatrix) -> bool:
-    """Check X_h X_l = B_hl X_l exactly for every (h, l), words read in application order.
-
-    X_h X_l means X_h acts first, i.e. the matrix product X_l . X_h.  The
-    relation holds whenever the rows of B coincide (the 1/n family); on a
-    general bistochastic matrix it can fail.
-    """
-    entries = x_decomposition(b)
-    m = b.dimension
-    return all(
-        _mat_mul_exact(entries[l], entries[h])
-        == tuple(tuple(b.rows[h][l] * x for x in row) for row in entries[l])
-        for h in range(m)
-        for l in range(m)
-    )

@@ -17,10 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .graphs import StochMatrix
-
 MATRIX_TOL = 1e-12
-WITNESS_TOL = 1e-12
 
 
 def assert_unitary(u: np.ndarray) -> np.ndarray:
@@ -72,15 +69,6 @@ def row_split(u: np.ndarray) -> list[np.ndarray]:
     u = assert_unitary(u)
     rows = np.arange(u.shape[0])[:, None]
     return [np.where(rows == h, u, 0) for h in range(u.shape[0])]
-
-
-def is_unistochastic(b: StochMatrix, u: np.ndarray) -> bool:
-    """Witness check: does B_ij = |U_ij|^2 hold within WITNESS_TOL for this U?"""
-    u = np.asarray(u, dtype=complex)
-    if u.shape != (b.dimension, b.dimension):
-        raise ValueError("witness has the wrong shape")
-    target = np.array([[float(x) for x in row] for row in b.rows])
-    return bool(np.max(np.abs(np.abs(u) ** 2 - target)) <= WITNESS_TOL)
 
 
 class CoinPair(namedtuple("CoinPair", "P Q")):

@@ -2,18 +2,28 @@
 
 Each check recomputes its expected side from scratch (hard-coded tables
 from the source text, or a brute-force enumeration) rather than trusting
-the module under test.  The grammar lemmas are computed here (`lemma_checks`).
+the module under test.  Every law the package checks is computed here.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from collections import Counter
+from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np
 
 from . import coalgebra, graphs, language, orbits, quantize, walk
+
+UNITARITY_TOL = 1e-10
+COMMUTATOR_TOL = 1e-14
+WITNESS_TOL = 1e-12
+# `verify all` at max_t holds the lemma corollary's 2^max_t terms on each side:
+# about 650 MiB at max_t = 20.
+RUN_ALL_MAX_T = 20
 
 
 class CheckResult(NamedTuple):
@@ -170,13 +180,60 @@ def lemma_checks(depth: int) -> list[CheckResult]:
     ]
 
 
+def broken_cell_law(s: walk.SymbolicState) -> str:
+    """The first cell law s breaks, rechecked from scratch, as a message; "" if none."""
+    n = s.time
+    if len(s.cells) != n + 1:
+        return "wrong number of cells"
+    for k, words in s.items():
+        expected = math.comb(n, (n - k) // 2)
+        if len(words) != expected:
+            return f"cell {k} holds {len(words)} words, expected {expected}"
+        if any(v >= w for v, w in zip(words, words[1:])):
+            return f"cell {k} is not strictly increasing"
+        for w in words:
+            if len(w) != n or set(w) - {"P", "Q"}:
+                return f"malformed word {w!r} at vertex {k}"
+            if language.pq_index(w) != k:
+                return f"word {w!r} misplaced at vertex {k}"
+    return ""
+
+
+def commutator_check(coin: quantize.CoinPair) -> CheckResult:
+    """The dispersion commutator is right concatenation by QP - PQ.
+
+    Operator words are read in application order: the first term applies
+    the up operator, then the down operator.  On a basis element e_k (x) W
+    both sides equal e_k (x) (W.QP - W.PQ); the numeric variant evaluates
+    the same identity on matrices, within COMMUTATOR_TOL.  It is checked on
+    the 63 P/Q words of length at most 5.
+    """
+    words = ["".join(p) for n in range(6) for p in itertools.product("PQ", repeat=n)]
+    symbolic_ok = True
+    max_dev = 0.0
+    commutator = coin.Q @ coin.P - coin.P @ coin.Q
+    for i, w in enumerate(words):
+        k = (i % 7) - 3
+        x = coalgebra.FormalSum.lift(k, w)
+        lhs = walk.dispersion_down(walk.dispersion_up(x)) - walk.dispersion_up(walk.dispersion_down(x))
+        symbolic_ok &= lhs == coalgebra.FormalSum([((k, w + "QP"), 1), ((k, w + "PQ"), -1)])
+        m = functools.reduce(np.matmul, (getattr(coin, s) for s in w), np.eye(2, dtype=complex))
+        numeric_lhs = (m @ coin.Q) @ coin.P - (m @ coin.P) @ coin.Q
+        max_dev = max(max_dev, float(np.max(np.abs(numeric_lhs - m @ commutator))))
+    return CheckResult(
+        "dispersion commutator is right concatenation by QP-PQ",
+        symbolic_ok and max_dev <= COMMUTATOR_TOL,
+        f"max deviation {max_dev:.2e}",
+    )
+
+
 def walk_checks(max_t: int) -> list[CheckResult]:
     """One pass over t = 0..max(4, max_t) that steps the symbolic walk once: each
     state meets the t <= 4 table, the streamed cells and the laws up to the
     first broken one, and at t = min(max_t, 8) evaluation commutes with a step."""
     coin = quantize.hadamard_coin()
     table = in_order = commutes = True
-    laws = CheckResult("cell-size and word-balance laws", True)
+    broken = ""
     state = walk.initial_symbolic()
     for t in range(max(4, min(max_t, language.WORD_TIME_MAX)) + 1):
         if t:
@@ -185,28 +242,19 @@ def walk_checks(max_t: int) -> list[CheckResult]:
             table &= {k: set(v) for k, v in state.items() if v} == XI_TABLE[t]
         # The streamed cells, joined as `walk run --symbolic` prints them.
         in_order &= list(walk.symbolic_cells(t)) == ["+".join(c) for c in state.cells]
-        if laws:
-            try:
-                state.validate()
-            except AssertionError as exc:
-                laws = CheckResult(laws.name, False, str(exc))
+        broken = broken or broken_cell_law(state)
         if t == min(max_t, 8):
             lhs = walk.evaluate(walk.step_symbolic(state), coin)
             rhs = walk.step_numeric(walk.evaluate(state, coin), coin)
             commutes = bool(np.max(np.abs(lhs.amps - rhs.amps)) < 1e-12)
     defect = walk.unitarity_defect(walk.run_numeric(coin, 200))
-    report = walk.commutator_check(coin)
     return [
         CheckResult("symbolic walk reproduces the t<=4 table", table),
-        laws,
+        CheckResult("cell-size and word-balance laws", not broken, broken),
         CheckResult("symbolic cells are the fixed-count words, in order", in_order),
         CheckResult("evaluate commutes with stepping", commutes),
-        CheckResult("norm preservation at t=200", defect < walk.UNITARITY_TOL, f"defect {defect:.2e}"),
-        CheckResult(
-            "dispersion commutator is right concatenation by QP-PQ",
-            bool(report),
-            f"max deviation {report.max_deviation:.2e}",
-        ),
+        CheckResult("norm preservation at t=200", defect < UNITARITY_TOL, f"defect {defect:.2e}"),
+        commutator_check(coin),
     ]
 
 
@@ -294,6 +342,46 @@ def orbit_checks(max_t: int) -> list[CheckResult]:
     ]
 
 
+def is_unistochastic(b: graphs.StochMatrix, u: np.ndarray) -> bool:
+    """Witness check: does B_ij = |U_ij|^2 hold within WITNESS_TOL for this U?"""
+    u = np.asarray(u, dtype=complex)
+    if u.shape != (b.dimension, b.dimension):
+        raise ValueError("witness has the wrong shape")
+    target = np.array([[float(x) for x in row] for row in b.rows])
+    return bool(np.max(np.abs(np.abs(u) ** 2 - target)) <= WITNESS_TOL)
+
+
+def _mat_mul_exact(a, b):
+    """Exact product a.b; only products of two nonzero entries are formed."""
+    b_terms = [[(j, y) for j, y in enumerate(row) if y] for row in b]
+    product = []
+    for row in a:
+        acc = [Fraction(0)] * len(row)
+        for k, x in enumerate(row):
+            if x:
+                for j, y in b_terms[k]:
+                    acc[j] += x * y
+        product.append(tuple(acc))
+    return tuple(product)
+
+
+def verify_x_relations(b: graphs.StochMatrix) -> bool:
+    """Check X_h X_l = B_hl X_l exactly for every (h, l), words read in application order.
+
+    X_h X_l means X_h acts first, i.e. the matrix product X_l . X_h.  The
+    relation holds whenever the rows of B coincide (the 1/n family); on a
+    general bistochastic matrix it can fail.
+    """
+    entries = graphs.x_decomposition(b)
+    m = b.dimension
+    return all(
+        _mat_mul_exact(entries[l], entries[h])
+        == tuple(tuple(b.rows[h][l] * x for x in row) for row in entries[l])
+        for h in range(m)
+        for l in range(m)
+    )
+
+
 def quantize_checks() -> list[CheckResult]:
     results = []
     rng = np.random.default_rng(11)
@@ -318,13 +406,13 @@ def quantize_checks() -> list[CheckResult]:
     results.append(
         CheckResult(
             "Hadamard witnesses the unistochasticity of the uniform matrix",
-            quantize.is_unistochastic(b2, quantize.hadamard()),
+            is_unistochastic(b2, quantize.hadamard()),
         )
     )
     results.append(
         CheckResult(
             "row-product relations on uniform matrices",
-            all(graphs.verify_x_relations(graphs.bernoulli_matrix(n)) for n in range(2, 7)),
+            all(verify_x_relations(graphs.bernoulli_matrix(n)) for n in range(2, 7)),
         )
     )
     ok = graphs.ks_entropy(graphs.regular_system_matrix()) == 0.0 and all(
@@ -340,6 +428,11 @@ def run_all(max_t: int) -> list[CheckResult]:
     if max_t < 3:
         raise ValueError("need max_t >= 3")
     language.require_word_time(max_t, "max_t")
+    if max_t > RUN_ALL_MAX_T:
+        raise ValueError(
+            f"max_t = {max_t} exceeds the verify-all cap {RUN_ALL_MAX_T} "
+            "(the lemma corollary holds 2^max_t terms)"
+        )
     results = []
     results += coalgebra_checks()
     results += lemma_checks(depth=max(1, max_t - 2))

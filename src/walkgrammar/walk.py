@@ -36,9 +36,9 @@ it keeps the O(n^2) stepper below, whose tail cells keep their relative
 accuracy (at 1000 steps its largest relative error is 2e-13).
 
 States store occupied vertices contiguously, in the order of
-`vertices(n)`: the time-n lattice -n, -n + 2, ..., n.  The lattice, the
-index `pq_index` and the word-set cap `require_word_time` are defined in
-`language`, which needs no numpy; this module imports them from there.
+`vertices(n)`: the time-n lattice -n, -n + 2, ..., n.  The lattice and the
+word-set cap `require_word_time` come from `language`, which needs no
+numpy; the laws the states obey are checked in `verify`.
 
 The numeric stepper uses that P and Q are rows of the coin: P has a zero
 second row and Q a zero first row (`CoinPair` enforces both), so for any
@@ -75,7 +75,6 @@ avoids that cost.  `run_numeric` swaps two planes from step to step, and
 
 from __future__ import annotations
 
-import itertools
 import math
 from collections import namedtuple
 from typing import Iterator, NamedTuple, Sequence
@@ -83,12 +82,10 @@ from typing import Iterator, NamedTuple, Sequence
 import numpy as np
 
 from .coalgebra import FormalSum
-from .language import WORD_TIME_MAX, pq_cells, pq_index, require_word_time, vertices
+from .language import pq_cells, require_word_time, vertices
 from .quantize import CoinPair
 
 PROB_TOL = 1e-10
-UNITARITY_TOL = 1e-10
-COMMUTATOR_TOL = 1e-14
 # run_numeric holds three (2, 2 steps + 2) complex column planes: 6.4 MB each, 19.2 MB at the cap.
 NUMERIC_MAX_STEPS = 100_000
 
@@ -109,23 +106,6 @@ class SymbolicState(NamedTuple):
     def total_words(self) -> int:
         return sum(len(words) for words in self.cells)
 
-    def validate(self) -> None:
-        """Recheck the parity, balance, cell-size and order laws from scratch."""
-        n = self.time
-        if len(self.cells) != n + 1:
-            raise AssertionError("wrong number of cells")
-        for k, words in self.items():
-            expected = math.comb(n, (n - k) // 2)
-            if len(words) != expected:
-                raise AssertionError(f"cell {k} holds {len(words)} words, expected {expected}")
-            if any(v >= w for v, w in zip(words, words[1:])):
-                raise AssertionError(f"cell {k} is not strictly increasing")
-            for w in words:
-                if len(w) != n or set(w) - {"P", "Q"}:
-                    raise AssertionError(f"malformed word {w!r} at vertex {k}")
-                if pq_index(w) != k:
-                    raise AssertionError(f"word {w!r} misplaced at vertex {k}")
-
 
 def initial_symbolic() -> SymbolicState:
     return SymbolicState(0, (("",),))
@@ -137,7 +117,7 @@ def step_symbolic(s: SymbolicState) -> SymbolicState:
     for j in range(n + 2):
         from_right = [w + "P" for w in s.cells[j]] if j <= n else []
         from_left = [w + "Q" for w in s.cells[j - 1]] if j >= 1 else []
-        # validate() rechecks order and sizes.
+        # verify.broken_cell_law rechecks order and sizes.
         cells.append(tuple(sorted(from_right + from_left)))
     return SymbolicState(n + 1, tuple(cells))
 
@@ -216,13 +196,6 @@ def run_numeric(coin: CoinPair, steps: int) -> NumericState:
     return NumericState(steps, cur.reshape(2, steps + 1, 2).transpose(1, 2, 0))
 
 
-def word_matrix(word: str, coin: CoinPair) -> np.ndarray:
-    m = np.eye(2, dtype=complex)
-    for letter in word:
-        m = m @ (coin.P if letter == "P" else coin.Q)
-    return m
-
-
 def evaluate(s: SymbolicState, coin: CoinPair) -> NumericState:
     """Map every word set to its summed matrix; shared prefixes are cached."""
     cache: dict[str, np.ndarray] = {"": np.eye(2, dtype=complex)}
@@ -247,14 +220,18 @@ def unitarity_defect(s: NumericState) -> float:
     return float(np.max(np.abs(gram - np.eye(2))))
 
 
-def _checked_distribution(time: int, psi: Sequence[complex], spinors) -> dict[int, float]:
-    """||v_k||^2 per vertex, where spinors(psi) gives the time-`time` cell spinors v_k,
-    shape (2, time + 1); psi and the probability sum are checked here."""
+def unit_spinor(psi: Sequence[complex]) -> np.ndarray:
+    """psi as a complex 2-vector, refused unless its norm is 1 within PROB_TOL."""
     psi = np.asarray(psi, dtype=complex).reshape(2)
     # hypot neither overflows nor warns; NaN and inf fail the tolerance.
     if not abs(math.hypot(*psi.real, *psi.imag) - 1.0) <= PROB_TOL:
         raise ValueError("initial spinor must have unit norm")
-    probs = np.sum(np.abs(spinors(psi)) ** 2, axis=0)
+    return psi
+
+
+def _probabilities(time: int, spinors: np.ndarray) -> dict[int, float]:
+    """||v_k||^2 per vertex of the (2, time + 1) cell spinors v_k, checked to sum to 1."""
+    probs = np.sum(np.abs(spinors) ** 2, axis=0)
     total = float(np.sum(probs))
     if not abs(total - 1.0) <= PROB_TOL:
         raise ValueError(f"probabilities sum to {total!r}, expected 1")
@@ -263,7 +240,7 @@ def _checked_distribution(time: int, psi: Sequence[complex], spinors) -> dict[in
 
 def distribution(s: NumericState, psi: Sequence[complex]) -> dict[int, float]:
     """Probability per vertex for initial spinor psi: ||cell(k) psi||^2."""
-    return _checked_distribution(s.time, psi, lambda v: (s.amps @ v).T)
+    return _probabilities(s.time, (s.amps @ unit_spinor(psi)).T)
 
 
 def fourier_distribution(coin: CoinPair, steps: int, psi: Sequence[complex]) -> dict[int, float]:
@@ -274,29 +251,27 @@ def fourier_distribution(coin: CoinPair, steps: int, psi: Sequence[complex]) -> 
     reads every coefficient back without aliasing.
     """
     _require_numeric_steps(steps)
+    v = unit_spinor(psi)
     size = 1 << steps.bit_length()
-
-    def spinors(v: np.ndarray) -> np.ndarray:
-        w = np.exp(2j * np.pi * np.arange(size) / size)
-        # Entry planes of M = P + w Q = [[a, b], [c, d]]; each squaring replaces M by M^2.
-        a, b = np.full(size, coin.P[0, 0]), np.full(size, coin.P[0, 1])
-        c, d = w * coin.Q[1, 0], w * coin.Q[1, 1]
-        v0, v1 = np.full(size, v[0]), np.full(size, v[1])
-        n = steps
-        while n:
-            if n & 1:
-                v0, v1 = a * v0 + b * v1, c * v0 + d * v1
-            n >>= 1
-            if n:
-                bc, trace = b * c, a + d
-                a, b, c, d = a * a + bc, b * trace, c * trace, d * d + bc
-        return np.fft.fft(np.stack([v0, v1]), axis=1)[:, : steps + 1] / size
-
-    return _checked_distribution(steps, psi, spinors)
+    w = np.exp(2j * np.pi * np.arange(size) / size)
+    # Entry planes of M = P + w Q = [[a, b], [c, d]]; each squaring replaces M by M^2.
+    a, b = np.full(size, coin.P[0, 0]), np.full(size, coin.P[0, 1])
+    c, d = w * coin.Q[1, 0], w * coin.Q[1, 1]
+    v0, v1 = np.full(size, v[0]), np.full(size, v[1])
+    n = steps
+    while n:
+        if n & 1:
+            v0, v1 = a * v0 + b * v1, c * v0 + d * v1
+        n >>= 1
+        if n:
+            bc, trace = b * c, a + d
+            a, b, c, d = a * a + bc, b * trace, c * trace, d * d + bc
+    spinors = np.fft.fft(np.stack([v0, v1]), axis=1)[:, : steps + 1] / size
+    return _probabilities(steps, spinors)
 
 
 # ---------------------------------------------------------------------------
-# Dispersion operators and their commutator
+# Dispersion operators
 # ---------------------------------------------------------------------------
 
 def dispersion_down(x: FormalSum) -> FormalSum:
@@ -307,38 +282,3 @@ def dispersion_down(x: FormalSum) -> FormalSum:
 def dispersion_up(x: FormalSum) -> FormalSum:
     """Move every basis term e_k (x) W, the word (k, W), one vertex up, appending Q."""
     return FormalSum(((k + 1, w + "Q"), c) for (k, w), c in x)
-
-
-class CommutatorReport(NamedTuple):
-    symbolic_ok: bool
-    numeric_ok: bool
-    max_deviation: float
-
-    def __bool__(self) -> bool:
-        return self.symbolic_ok and self.numeric_ok
-
-
-def commutator_check(coin: CoinPair) -> CommutatorReport:
-    """Verify that the dispersion commutator is right concatenation by QP - PQ.
-
-    Operator words are read in application order: the first term applies
-    the up operator, then the down operator.  On a basis element e_k (x) W
-    both sides equal e_k (x) (W.QP - W.PQ); the numeric variant evaluates
-    the same identity on matrices.  It is checked on the 63 P/Q words of
-    length at most 5.
-    """
-    words = ["".join(p) for n in range(6) for p in itertools.product("PQ", repeat=n)]
-    symbolic_ok = True
-    max_dev = 0.0
-    commutator = coin.Q @ coin.P - coin.P @ coin.Q
-    for i, w in enumerate(words):
-        k = (i % 7) - 3
-        x = FormalSum.lift(k, w)
-        lhs = dispersion_down(dispersion_up(x)) - dispersion_up(dispersion_down(x))
-        if lhs != FormalSum([((k, w + "QP"), 1), ((k, w + "PQ"), -1)]):
-            symbolic_ok = False
-        m = word_matrix(w, coin)
-        numeric_lhs = (m @ coin.Q) @ coin.P - (m @ coin.P) @ coin.Q
-        dev = float(np.max(np.abs(numeric_lhs - m @ commutator)))
-        max_dev = max(max_dev, dev)
-    return CommutatorReport(symbolic_ok, max_dev <= COMMUTATOR_TOL, max_dev)

@@ -110,6 +110,16 @@ def test_walk_plot_does_not_run_the_stepper(capsys, monkeypatch):
     assert code == 0 and out.count('<rect x="') == 41
 
 
+def test_walk_run_refuses_a_bad_spinor_before_it_steps(capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("walk run stepped before it checked --psi")
+
+    monkeypatch.setattr(walk, "run_numeric", refuse)
+    code, out, err = run_cli(capsys, "walk", "run", "--steps", "5", "--psi", "2,0,0,0")
+    assert_one_line_error(code, out, err)
+    assert err == "error: initial spinor must have unit norm\n"
+
+
 def test_walk_plot_at_the_step_cap_fits_in_a_gibibyte():
     # The stepper took minutes here; the FFT engine takes well under a second.
     src = str(Path(walkgrammar.__file__).resolve().parents[1])
@@ -556,6 +566,18 @@ def test_word_set_sizes_beyond_the_cap_fail_fast(argv):
     assert "exceeds the word-set cap 24" in done.stderr
 
 
+def test_verify_all_past_its_cap_is_refused_before_any_suite():
+    # The lemma corollary's 2^21 terms per side do not fit in 1 GiB of address space.
+    src = str(Path(walkgrammar.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-m", "walkgrammar.cli", "verify", "all", "--max-t", "21"],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=60,
+        preexec_fn=_limit_memory,
+    )
+    assert_one_line_error(done.returncode, done.stdout, done.stderr)
+    assert "exceeds the verify-all cap 20" in done.stderr
+
+
 def test_running_out_of_memory_is_a_one_line_error():
     # The 2^24 words of `lang generate --t 24` do not fit in 1 GiB of address space.
     src = str(Path(walkgrammar.__file__).resolve().parents[1])
@@ -730,7 +752,7 @@ def test_verify_axiom_rejects_a_second_table_on_another_alphabet(capsys, tmp_pat
 # lines in a console run, so warnings are raised as errors here.  Valid sizes
 # stay small enough to run in well under a second (`--max-t 12` runs the
 # verify suites for ~2 s).
-BAD_VALUES = ["x", "", "nan", "inf", "-1", str(walk.WORD_TIME_MAX + 1), str(10**9)]
+BAD_VALUES = ["x", "", "nan", "inf", "-1", str(language.WORD_TIME_MAX + 1), str(10**9)]
 SIZE = st.sampled_from(BAD_VALUES + [str(n) for n in range(13)])
 MAX_T = st.sampled_from(BAD_VALUES + [str(n) for n in range(9)])
 ANGLE = st.sampled_from(BAD_VALUES + ["0", "0.7"])

@@ -19,10 +19,10 @@ from walkgrammar.graphs import (
     extension,
     ks_entropy,
     regular_system_matrix,
-    verify_x_relations,
     x_decomposition,
 )
-from walkgrammar.quantize import hadamard, is_unistochastic
+from walkgrammar.quantize import hadamard
+from walkgrammar.verify import is_unistochastic, verify_x_relations
 
 from helpers import ADJACENT, PAIRS, dense_product, random_bistochastic, x_relation_failures
 
@@ -154,7 +154,7 @@ def test_x_decomposition_of_uniform_matrix():
     assert x1 == ((half, half), (0, 0))
     assert x2 == ((0, 0), (half, half))
     # X1 X2 = B_12 X2 with the product read in application order (X1 first).
-    product = graphs._mat_mul_exact(x2, x1)
+    product = verify._mat_mul_exact(x2, x1)
     assert product == tuple(tuple(half * v for v in row) for row in x2)
 
 
@@ -204,7 +204,7 @@ def test_x_relations_match_the_dense_product_oracle():
         assert verify_x_relations(b) == (not x_relation_failures(b.rows))
         # B.B sums several nonzero terms per entry; X products sum at most one.
         for x, y in [(b.rows, b.rows)] + list(itertools.product(x_decomposition(b), repeat=2)):
-            assert graphs._mat_mul_exact(x, y) == dense_product(x, y)
+            assert verify._mat_mul_exact(x, y) == dense_product(x, y)
     assert x_relation_failures(mixed.rows)
 
 

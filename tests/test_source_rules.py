@@ -27,6 +27,10 @@ so the caller rule sees it.
 Records are named tuples, and a validated record checks its fields in
 `__new__`.  No module imports `dataclasses`, and none calls a named tuple's
 `_make` or `_replace`, which build a record without calling `__new__`.
+
+A law is reported as a `verify` check's result, never as an exception:
+no module catches `AssertionError`.  Every name a module imports is used in
+that module; a name a test reads is read from the module that defines it.
 """
 
 import ast
@@ -349,3 +353,74 @@ def test_a_dataclass_import_or_a_constructor_bypass_is_found(tmp_path):
         "m.py:5: ._replace(",
         "m.py:5: ._make(",
     ]
+
+
+def assertion_catches(paths) -> list[str]:
+    """Every `except` clause that names AssertionError, alone or in a tuple."""
+    found = []
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ExceptHandler) and node.type is not None:
+                names = {n.id for n in ast.walk(node.type) if isinstance(n, ast.Name)}
+                if "AssertionError" in names:
+                    found.append(f"{path.name}:{node.lineno}")
+    return found
+
+
+def test_no_module_catches_assertion_error():
+    offenders = assertion_catches(MODULES)
+    assert not offenders, f"AssertionError caught: {offenders}"
+
+
+def test_an_assertion_error_handler_is_found(tmp_path):
+    (tmp_path / "m.py").write_text(
+        "try:\n"
+        "    pass\n"
+        "except AssertionError:\n"
+        "    pass\n"
+        "try:\n"
+        "    pass\n"
+        "except (ValueError, AssertionError) as exc:\n"
+        "    pass\n"
+        "try:\n"
+        "    raise AssertionError('raised, not caught')\n"
+        "except ValueError:\n"
+        "    pass\n",
+        encoding="utf-8",
+    )
+    assert assertion_catches([tmp_path / "m.py"]) == ["m.py:3", "m.py:7"]
+
+
+def unused_imports(paths) -> list[str]:
+    """Every name an import statement binds that its module never reads."""
+    found = []
+    for path in paths:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    bound = alias.asname or alias.name.split(".")[0]
+                    if bound not in read:
+                        found.append(f"{path.name}:{node.lineno}: {bound}")
+    return found
+
+
+def test_every_imported_name_is_used():
+    offenders = unused_imports(MODULES)
+    assert not offenders, f"imported names the module never reads: {offenders}"
+
+
+def test_an_unused_import_is_found(tmp_path):
+    (tmp_path / "m.py").write_text(
+        "from __future__ import annotations\n"
+        "import os.path\n"
+        "import numpy as np\n"
+        "from math import comb, hypot\n"
+        "def f(x: np.ndarray):\n"
+        "    return comb(2, 1)\n",
+        encoding="utf-8",
+    )
+    assert unused_imports([tmp_path / "m.py"]) == ["m.py:2: os", "m.py:4: hypot"]

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from walkgrammar import verify, walk
+from walkgrammar import language, verify, walk
 from walkgrammar.coalgebra import FormalSum
 from walkgrammar.quantize import (
     CoinPair,
@@ -18,7 +18,6 @@ from walkgrammar.quantize import (
 from walkgrammar.walk import (
     NUMERIC_MAX_STEPS,
     PROB_TOL,
-    commutator_check,
     distribution,
     evaluate,
     fourier_distribution,
@@ -73,7 +72,7 @@ def test_cell_size_and_balance_laws():
     state = initial_symbolic()
     for _ in range(16):
         state = step_symbolic(state)
-    state.validate()
+    assert verify.broken_cell_law(state) == ""
     assert state.total_words() == 2**16
     for k, words in state.items():
         assert len(words) == math.comb(16, (16 - k) // 2)
@@ -97,13 +96,29 @@ def test_streamed_cells_check_steps_before_building():
         streamed_cells(25)
 
 
-@pytest.mark.parametrize(
-    "middle", [("QP", "PQ"), ("PQ", "PQ")], ids=["unsorted", "repeated-word"]
-)
-def test_validate_rejects_a_cell_that_is_not_strictly_increasing(middle):
-    state = walk.SymbolicState(2, (("PP",), middle, ("QQ",)))
-    with pytest.raises(AssertionError, match="cell 0 is not strictly increasing"):
-        state.validate()
+# One state per cell law, each at t = 2 (cells PP | PQ, QP | QQ) and breaking only that law.
+BROKEN_CELL_LAWS = {
+    "wrong-count": ((("PP",), ("PQ", "QP")), "wrong number of cells"),
+    "cell-size": ((("PP",), ("PQ",), ("QQ",)), "cell 0 holds 1 words, expected 2"),
+    "unsorted": ((("PP",), ("QP", "PQ"), ("QQ",)), "cell 0 is not strictly increasing"),
+    "repeated-word": ((("PP",), ("PQ", "PQ"), ("QQ",)), "cell 0 is not strictly increasing"),
+    "malformed": ((("PP",), ("PQ", "PX"), ("QQ",)), "malformed word 'PX' at vertex 0"),
+    "misplaced": ((("PQ",), ("PQ", "QP"), ("QQ",)), "word 'PQ' misplaced at vertex -2"),
+}
+
+
+@pytest.mark.parametrize("law", BROKEN_CELL_LAWS)
+def test_each_broken_cell_law_is_reported(monkeypatch, law):
+    cells, message = BROKEN_CELL_LAWS[law]
+    broken = walk.SymbolicState(2, cells)
+    assert verify.broken_cell_law(broken) == message
+    # The walk suite meets the broken state at t = 2 and reports its message.
+    real = [initial_symbolic()]
+    for _ in range(8):
+        real.append(step_symbolic(real[-1]))
+    monkeypatch.setattr(walk, "step_symbolic", lambda s: broken if s.time == 1 else real[s.time + 1])
+    (laws,) = [c for c in verify.walk_checks(6) if c.name == LAWS]
+    assert (laws.ok, laws.detail) == (False, message)
 
 
 def test_off_lattice_cells_are_empty():
@@ -231,7 +246,7 @@ def test_symmetric_initial_state_stays_symmetric():
     dist = distribution(state, psi)
     oracle = spinor_walk_distribution(hadamard(), psi, 60)
     assert dist == pytest.approx(oracle, abs=1e-10)
-    for k in walk.vertices(state.time):
+    for k in language.vertices(state.time):
         assert dist[k] == pytest.approx(dist[-k], abs=1e-9)
 
 
@@ -275,16 +290,25 @@ def test_commutator_hadamard_matrix():
     coin = hadamard_coin()
     commutator = coin.Q @ coin.P - coin.P @ coin.Q
     np.testing.assert_allclose(commutator, 0.5 * np.array([[-1, 1], [1, 1]]), atol=1e-15)
-    report = commutator_check(coin)
-    assert report.symbolic_ok and report.numeric_ok
+    assert verify.commutator_check(coin).ok
 
 
 def test_commutator_random_coin():
     rng = np.random.default_rng(10)
     coin = CoinPair.from_unitary(random_unitary(2, rng))
-    report = commutator_check(coin)
-    assert report
-    assert report.max_deviation < 1e-14
+    check = verify.commutator_check(coin)
+    assert check.ok and verify.COMMUTATOR_TOL == 1e-14
+    assert float(check.detail.removeprefix("max deviation ")) < 1e-14
+
+
+def test_commutator_check_fails_when_the_up_operator_appends_the_wrong_letter(monkeypatch):
+    monkeypatch.setattr(
+        walk, "dispersion_up", lambda x: FormalSum(((k + 1, w + "P"), c) for (k, w), c in x)
+    )
+    check = verify.commutator_check(hadamard_coin())
+    assert not check.ok
+    # The matrices are untouched, so only the symbolic side fails.
+    assert float(check.detail.removeprefix("max deviation ")) < 1e-14
 
 
 def test_distribution_rejects_nan():
