@@ -38,7 +38,9 @@ first four need complex coin entries or the walk's amplitudes; the orbit
 suite needs neither, and loads numpy only because `verify` does.  The word,
 orbit, graph and coalgebra commands are exact string and rational
 arithmetic, and they skip the numpy import, which takes longer than the
-interpreter's own start.
+interpreter's own start.  `verify all` draws its test unitaries from the
+standard library's `random`, so no command loads `numpy.random`: with the
+`secrets` and `hashlib` it brings, it would add 6.4 MiB to the peak RSS.
 Every matrix product these commands make is small: 2x2 cells, and at most
 5x5 in `verify`.  So `main` sets OPENBLAS_NUM_THREADS to 1 before numpy
 loads and each command runs as one thread.  Otherwise OpenBLAS starts one

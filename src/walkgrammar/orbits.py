@@ -120,11 +120,22 @@ def _require_orbit_time(t: int) -> None:
     require_word_time(t)
 
 
-def orbits_at_time(t: int) -> frozenset[Pattern]:
-    """All length-t patterns, grown from the completions of the time-2 words."""
+def orbits_at_time(t: int, shorter: frozenset[Pattern] | None = None) -> frozenset[Pattern]:
+    """All length-t patterns, grown one letter at a time.
+
+    With `shorter`, the length t - 1 patterns, one growth step builds the
+    level from it; without, every level is grown from the completions of the
+    time-2 words.  ValueError if `shorter` holds anything but a length t - 1
+    pattern.
+    """
     _require_orbit_time(t)
-    pats = frozenset(complete(x) for x in LETTERS)
-    for _ in range(t - 2):
+    if shorter is None:
+        pats, steps = frozenset(complete(x) for x in LETTERS), t - 2
+    elif all(isinstance(p, Pattern) and len(p) == t - 1 for p in shorter):
+        pats, steps = shorter, 1
+    else:
+        raise ValueError(f"the level grown to time {t} must hold only length-{t - 1} patterns")
+    for _ in range(steps):
         candidates: set[str] = set()
         for p in pats:
             candidates.update(grow(p))

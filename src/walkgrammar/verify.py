@@ -10,7 +10,8 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from collections import Counter
+import random
+from collections import Counter, deque
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -21,9 +22,15 @@ from . import coalgebra, graphs, language, orbits, quantize, walk
 UNITARITY_TOL = 1e-10
 COMMUTATOR_TOL = 1e-14
 WITNESS_TOL = 1e-12
-# `verify all` at max_t holds the lemma corollary's 2^max_t terms on each side:
-# about 650 MiB at max_t = 20.
+# `verify all` at max_t holds the 2^max_t words of the walk, language and orbit
+# suites' last levels.
 RUN_ALL_MAX_T = 20
+# Two automata with 8 states in all that agree to depth 7 agree at every depth
+# (`rightmost_equivalence`).  So the corollary is enumerated to depth 7 and the
+# grammars' word sets compared to t = 8, as tests of `iterate_rightmost` and
+# `generate`; the automaton check states both identities at every depth.
+COROLLARY_DEPTH_MAX = 7
+GRAMMAR_WORDS_T_MAX = 8
 
 
 class CheckResult(NamedTuple):
@@ -136,14 +143,71 @@ def coalgebra_checks() -> list[CheckResult]:
     return results
 
 
+def rightmost_equivalence(
+    left: coalgebra.CoproductTable, right: coalgebra.CoproductTable, seed: coalgebra.FormalSum
+) -> tuple[bool, int]:
+    """Whether the rightmost iterates of two tables on `seed` agree at every depth, with
+    the dimension of the difference automaton's reachable row space.
+
+    Rightmost iteration rewrites only the last letter, so it is a weighted
+    automaton: its states are a table's letters, and reading y from state x
+    leads to z with weight c, for each term c y (x) z of T(x).  The depth-n
+    iterate of s is the sum over the words u of n letters and the states z of
+    (s M_u)_z u z: the last letter is read off the final state.  The
+    difference automaton runs the left table from s and the right one from -s
+    on one state space; the iterates agree at every depth iff each row vector
+    it reaches has weights summing to zero over the two states of every
+    letter (Schützenberger 1961; Tzeng 1992).  Breadth-first search with
+    exact elimination finds the reachable space: each vector that enlarges
+    it is stepped by every letter, so the depths read are below the number
+    of states.
+    """
+    states = [(side, x) for side, table in enumerate((left, right)) for x in table.alphabet]
+    index = {state: i for i, state in enumerate(states)}
+    moves: dict[str, list[tuple[int, int, coalgebra.Scalar]]] = {}
+    for side, x in states:
+        for (y, z), c in (left, right)[side].apply(x):
+            moves.setdefault(y, []).append((index[side, x], index[side, z], c))
+    start = [Fraction(0)] * len(states)
+    for (x,), c in seed:
+        start[index[0, x]] += c
+        start[index[1, x]] -= c
+    basis: list[tuple[int, list[Fraction]]] = []  # (pivot, row), zero at earlier pivots
+    queue = deque([start])
+    while queue:
+        v = queue.popleft()
+        for pivot, row in basis:
+            if f := v[pivot]:
+                v = [a - f * b for a, b in zip(v, row)]
+        pivot = next((i for i, a in enumerate(v) if a), None)
+        if pivot is None:
+            continue
+        row = [a / v[pivot] for a in v]
+        basis.append((pivot, row))
+        for terms in moves.values():
+            stepped = [Fraction(0)] * len(states)
+            for i, j, c in terms:
+                stepped[j] += row[i] * c
+            queue.append(stepped)
+    letters = {x for _, x in states}
+    agree = all(
+        sum(row[index[side, z]] for side in (0, 1) if (side, z) in index) == 0
+        for _, row in basis
+        for z in letters
+    )
+    return agree, len(basis)
+
+
 def lemma_checks(depth: int) -> list[CheckResult]:
     """The grammar lemmas, computed as exact identities of the two grammar tables.
 
     Sums: the coproducts agree on a+b and on c+d.  Contraction: C(xy)s =
     C(xyz) for the letter z that appends the symbol s, and C(x)(P+Q) is the
     contraction of x's Markov image.  Mixed coassociativity, letter by
-    letter.  Corollary: the rightmost iterates on a+b+c+d agree up to
-    `depth`, the depth-n one being 2^(n+2) words of coefficient 1.
+    letter.  Corollary: the rightmost iterates on a+b+c+d agree at every
+    depth, decided by `rightmost_equivalence`; enumerated, the depth-n
+    iterates are the same 2^(n+2) words of coefficient 1 for n up to
+    min(depth, COROLLARY_DEPTH_MAX).
     """
     dm = language.grammar_table("markov")
     dc = language.grammar_table("coassoc")
@@ -163,9 +227,11 @@ def lemma_checks(depth: int) -> list[CheckResult]:
         coalgebra.apply_at(dc, dm.apply(x), 2) == coalgebra.apply_at(dm, dm.apply(x), 2)
         for x in letters
     )
+    seed = coalgebra.FormalSum.basis(letters)
+    every_depth, dimension = rightmost_equivalence(dm, dc, seed)
     corollary = True
-    left = right = coalgebra.FormalSum.basis(letters)
-    for n in range(1, depth + 1):
+    left = right = seed
+    for n in range(1, min(depth, COROLLARY_DEPTH_MAX) + 1):
         left = coalgebra.iterate_rightmost(dm, left, 1)
         right = coalgebra.iterate_rightmost(dc, right, 1)
         if left != right or len(left) != 2 ** (n + 2) or any(c != 1 for _, c in left):
@@ -177,6 +243,11 @@ def lemma_checks(depth: int) -> list[CheckResult]:
         CheckResult("lemma: lemma-contraction-mult", contraction_mult),
         CheckResult("lemma: mixed-coassoc", mixed_coassoc),
         CheckResult("lemma: corollary-equality", corollary),
+        CheckResult(
+            "lemma: rightmost iterates of the two grammars agree at every depth",
+            every_depth,
+            f"reachable dimension {dimension}",
+        ),
     ]
 
 
@@ -259,17 +330,22 @@ def walk_checks(max_t: int) -> list[CheckResult]:
 
 
 def language_checks(max_t: int) -> list[CheckResult]:
-    """Grammar equivalence for t = 2..max_t, then the last level's words against the walk.
+    """Grammar equivalence for t = 2..min(max_t, GRAMMAR_WORDS_T_MAX), then the last
+    level's words against the walk.
 
-    At t = max_t, contraction maps the sorted words at each vertex onto the
-    walk's sorted cell, every such word is a grammar word, and the cells
-    hold as many words as the grammar: so the grammar's words are exactly
-    the words at the vertices, each at its own.
+    The lemma suite's automaton check states the equivalence at every t: the
+    corollary pins coefficient 1 on every word, so equal iterates mean equal
+    word sets.  At t = max_t, contraction maps the sorted words at each
+    vertex onto the walk's sorted cell, every such word is a grammar word,
+    and the cells hold as many words as the grammar: so the grammar's words
+    are exactly the words at the vertices, each at its own.
     """
     equivalent = True
-    for t in range(2, max_t + 1):
+    for t in range(2, min(max_t, GRAMMAR_WORDS_T_MAX) + 1):
         words = language.generate(t, "markov")
         equivalent &= words == language.generate(t, "coassoc")
+    if max_t > GRAMMAR_WORDS_T_MAX:
+        words = language.generate(max_t, "markov")
     state = walk.run_symbolic(max_t)
     ok = sum(map(len, state.cells)) == len(words)
     for k in language.vertices(max_t):
@@ -282,20 +358,22 @@ def language_checks(max_t: int) -> list[CheckResult]:
 
 
 def orbit_checks(max_t: int) -> list[CheckResult]:
-    """The orbit suite, one pass per time: each level is grown, checked once and dropped.
+    """The orbit suite, one pass over t = 2..max_t: each level is grown once, from the
+    level before it, checked once and dropped when the next one is grown.
 
     `orbits.orbits_at_time`, `closed_walks` and `language.generate` are
     called once per t, in increasing t, through their module attributes:
     the benchmark's layer tracer wraps them there and reads the last
-    growth step of each `orbits_at_time` call.
+    growth step of each `orbits_at_time` call, here its only one past t = 2.
     """
     if max_t < 3:
         raise ValueError("need max_t >= 3")
     language.require_word_time(max_t, "max_t")
     fundamentals = orbits.fundamental_orbits()
     growth = cover = duality = counting = embedded = on_vertex = decomposed = True
+    pats = None
     for t in range(2, max_t + 1):
-        pats = orbits.orbits_at_time(t)
+        pats = orbits.orbits_at_time(t, pats)
         growth &= pats == closed_walks(t)
         counts: Counter[int] = Counter()
         read_union: set[str] = set()
@@ -384,7 +462,7 @@ def verify_x_relations(b: graphs.StochMatrix) -> bool:
 
 def quantize_checks() -> list[CheckResult]:
     results = []
-    rng = np.random.default_rng(11)
+    rng = random.Random(11)
     worst = 0.0
     ok = True
     for i in range(40):
@@ -431,7 +509,7 @@ def run_all(max_t: int) -> list[CheckResult]:
     if max_t > RUN_ALL_MAX_T:
         raise ValueError(
             f"max_t = {max_t} exceeds the verify-all cap {RUN_ALL_MAX_T} "
-            "(the lemma corollary holds 2^max_t terms)"
+            "(the walk, language and orbit suites hold 2^max_t words)"
         )
     results = []
     results += coalgebra_checks()

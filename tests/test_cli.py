@@ -567,7 +567,8 @@ def test_word_set_sizes_beyond_the_cap_fail_fast(argv):
 
 
 def test_verify_all_past_its_cap_is_refused_before_any_suite():
-    # The lemma corollary's 2^21 terms per side do not fit in 1 GiB of address space.
+    # Refused before any suite: the 2^21 words the walk, language and orbit suites hold
+    # at max_t = 21 do not fit in 1 GiB of address space.
     src = str(Path(walkgrammar.__file__).resolve().parents[1])
     done = subprocess.run(
         [sys.executable, "-m", "walkgrammar.cli", "verify", "all", "--max-t", "21"],

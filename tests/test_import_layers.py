@@ -1,5 +1,5 @@
 """The exact commands run without numpy, dataclasses or inspect; the numeric ones load numpy
-on use, with one BLAS thread.
+on use, with one BLAS thread, and none loads numpy.random.
 
 Each check runs in a fresh interpreter: the test process itself has long
 imported numpy.  The interpreter's environment has no OPENBLAS_NUM_THREADS
@@ -33,6 +33,8 @@ print({})
 CLI_PROBE = CLI_PROBE_THEN.format('sorted({"numpy", "dataclasses", "inspect"} & sys.modules.keys())')
 THREAD_PROBE = CLI_PROBE_THEN.format('len(os.listdir("/proc/self/task"))')
 BLAS_ENV_PROBE = CLI_PROBE_THEN.format('os.environ["OPENBLAS_NUM_THREADS"]')
+# numpy.random loads secrets and hashlib with it: 6.4 MiB of peak RSS.
+RANDOM_PROBE = CLI_PROBE_THEN.format('sorted({"numpy.random", "secrets", "hashlib"} & sys.modules.keys())')
 
 
 def probe(code: str, *argv: str, **env: str) -> list[str]:
@@ -89,6 +91,21 @@ NUMPY_COMMANDS = [
 @pytest.mark.parametrize("argv", NUMPY_COMMANDS + EXACT_COMMANDS[:2], ids=" ".join)
 def test_every_command_runs_as_one_thread(argv):
     assert probe(THREAD_PROBE, *argv)[-1] == "1"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "all", "--max-t", "4"],
+        ["orbits", "verify", "--max-t", "4"],
+        ["walk", "run", "--steps", "20"],
+        ["walk", "plot", "--steps", "20"],
+        ["coin", "check"],
+    ],
+    ids=" ".join,
+)
+def test_no_command_loads_numpy_random(argv):
+    assert probe(RANDOM_PROBE, *argv)[-1] == "[]"
 
 
 def test_the_callers_blas_thread_count_is_kept():

@@ -196,6 +196,7 @@ LEMMA_NAMES = [
     "lemma-contraction-mult",
     "mixed-coassoc",
     "corollary-equality",
+    "rightmost iterates of the two grammars agree at every depth",
 ]
 
 
@@ -204,7 +205,7 @@ def lemma_holds(name, depth=1):
     return result.ok
 
 
-def test_lemma_checks_are_the_five_grammar_lemmas_in_order():
+def test_lemma_checks_are_the_grammar_lemmas_in_order():
     results = verify.lemma_checks(3)
     assert [c.name for c in results] == [f"lemma: {name}" for name in LEMMA_NAMES]
     assert all(results)
@@ -236,6 +237,72 @@ def test_corollary_equality():
     assert lemma_holds("corollary-equality", depth=10)
 
 
+def test_the_corollary_is_enumerated_to_depth_seven(monkeypatch):
+    depths = []
+    iterate = coalgebra.iterate_rightmost
+
+    def recording(table, seed, n):
+        out = iterate(table, seed, n)
+        depths.append(len(next(iter(out))[0]) - 1)
+        return out
+
+    monkeypatch.setattr(coalgebra, "iterate_rightmost", recording)
+    assert lemma_holds("corollary-equality", depth=10)
+    assert depths == [n for n in range(1, verify.COROLLARY_DEPTH_MAX + 1) for _ in range(2)]
+
+
+def test_the_grammars_agree_at_every_depth_with_reachable_dimension_two():
+    (result,) = [c for c in verify.lemma_checks(1) if c.name == f"lemma: {LEMMA_NAMES[-1]}"]
+    assert result.ok and result.detail == "reachable dimension 2"
+
+
+@pytest.mark.parametrize("letter", language.LETTERS)
+def test_the_grammars_part_from_a_single_letter(letter):
+    markov, coassoc = language.grammar_table("markov"), language.grammar_table("coassoc")
+    agree, _ = verify.rightmost_equivalence(markov, coassoc, FormalSum.basis(letter))
+    assert not agree
+
+
+def _coassoc_moving(source, word, target):
+    """The coassociative grammar table with the term `word` moved from source's image to target's."""
+    table = language.grammar_table("coassoc")
+    term = FormalSum([(tuple(word), 1)])
+    rules = {**table.rules, source: table.apply(source) - term, target: table.apply(target) + term}
+    return CoproductTable(table.alphabet, rules)
+
+
+def _first_parting_depth(left, right, depth):
+    """The least n <= depth at which the rightmost iterates on a+b+c+d differ, else None."""
+    lhs = rhs = FormalSum.basis(language.LETTERS)
+    for n in range(1, depth + 1):
+        lhs, rhs = iterate_rightmost(left, lhs, 1), iterate_rightmost(right, rhs, 1)
+        if lhs != rhs:
+            return n
+    return None
+
+
+def test_the_automaton_matches_the_enumeration_on_tables_with_one_term_moved():
+    # Moving a term between two images keeps the depth-1 iterate of a+b+c+d.
+    markov, coassoc = language.grammar_table("markov"), language.grammar_table("coassoc")
+    moves = [
+        (x, "".join(w), y)
+        for x in coassoc.alphabet
+        for w, _ in coassoc.apply(x)
+        for y in coassoc.alphabet
+        if y != x
+    ]
+    verdicts = {}
+    for move in moves:
+        table = _coassoc_moving(*move)
+        agree, _ = verify.rightmost_equivalence(markov, table, FormalSum.basis(language.LETTERS))
+        parted = _first_parting_depth(markov, table, 8)
+        assert agree == (parted is None), move
+        assert parted is None or parted >= 2, move
+        verdicts[move] = agree
+    assert len(verdicts) == 24
+    assert list(verdicts.values()).count(False) == 16
+
+
 def _coassoc_with(symbol, *words):
     """The coassociative grammar table with one rule image replaced."""
     table = language.grammar_table("coassoc")
@@ -263,6 +330,11 @@ def _fault_mixed(monkeypatch):
     monkeypatch.setattr(coalgebra, "apply_at", lambda table, s, slot: apply_at(table, s, 1))
 
 
+def _fault_every_depth(monkeypatch):
+    # a -> aa + bc gives aa to c: the depth-1 iterates agree, the depth-2 ones do not.
+    monkeypatch.setitem(language.GRAMMAR_TABLES, "coassoc", _coassoc_moving("a", "aa", "c"))
+
+
 def _fault_corollary(monkeypatch):
     # Drop one word from every coassociative iteration step.
     iterate = coalgebra.iterate_rightmost
@@ -279,7 +351,14 @@ def _fault_corollary(monkeypatch):
     "name, fault",
     zip(
         LEMMA_NAMES,
-        [_fault_sum_ab, _fault_sum_cd, _fault_contraction, _fault_mixed, _fault_corollary],
+        [
+            _fault_sum_ab,
+            _fault_sum_cd,
+            _fault_contraction,
+            _fault_mixed,
+            _fault_corollary,
+            _fault_every_depth,
+        ],
     ),
 )
 def test_each_lemma_check_fails_under_its_fault(monkeypatch, name, fault):
@@ -316,3 +395,16 @@ def test_language_suite_builds_each_level_once(monkeypatch):
     monkeypatch.setattr(language, "word_index", None)
     assert all(verify.language_checks(6))
     assert levels == [(t, g) for t in range(2, 7) for g in ("markov", "coassoc")]
+
+
+def test_language_suite_compares_word_sets_to_t_eight(monkeypatch):
+    levels = []
+
+    def recording(t, grammar="markov"):
+        levels.append((t, grammar))
+        return generate(t, grammar)
+
+    monkeypatch.setattr(language, "generate", recording)
+    assert all(verify.language_checks(10))
+    compared = range(2, verify.GRAMMAR_WORDS_T_MAX + 1)
+    assert levels == [(t, g) for t in compared for g in ("markov", "coassoc")] + [(10, "markov")]

@@ -229,9 +229,9 @@ def test_orbit_checks_take_each_level_once_in_order(monkeypatch):
     calls = {"orbits_at_time": [], "closed_walks": [], "generate": []}
 
     def recording(name, f):
-        def recorded(t):
+        def recorded(t, *level):
             calls[name].append(t)
-            return f(t)
+            return f(t, *level)
 
         return recorded
 
@@ -244,8 +244,8 @@ def test_orbit_checks_take_each_level_once_in_order(monkeypatch):
 def test_orbit_checks_catch_a_vertex_with_no_orbits(monkeypatch):
     true_orbits_at_time = orbits.orbits_at_time
 
-    def without_top_vertex(t):
-        return frozenset(p for p in true_orbits_at_time(t) if orbit_index(p) != t)
+    def without_top_vertex(t, shorter=None):
+        return frozenset(p for p in true_orbits_at_time(t, shorter) if orbit_index(p) != t)
 
     monkeypatch.setattr(orbits, "orbits_at_time", without_top_vertex)
     results = {r.name: r.ok for r in verify.orbit_checks(6)}
@@ -268,6 +268,29 @@ def test_growth_calls_grow_once_per_parent(monkeypatch):
         parents.clear()
         orbits_at_time(t)
         assert dict(parents) == {s: sizes[s] for s in range(2, t)}
+        shorter = orbits_at_time(t - 1)
+        parents.clear()
+        orbits_at_time(t, shorter)
+        assert dict(parents) == {t - 1: sizes[t - 1]}
+
+
+def test_growth_from_the_previous_level_is_the_level():
+    for t in range(3, 13):
+        assert orbits_at_time(t, orbits_at_time(t - 1)) == orbits_at_time(t)
+
+
+@pytest.mark.parametrize(
+    "t, shorter",
+    [
+        (5, lambda: orbits_at_time(3)),
+        (4, lambda: orbits_at_time(3) | orbits_at_time(2)),
+        (4, lambda: frozenset(map(str, orbits_at_time(3)))),
+    ],
+    ids=["level too short", "mixed lengths", "plain strings"],
+)
+def test_growth_refuses_a_level_of_other_patterns(t, shorter):
+    with pytest.raises(ValueError, match=f"length-{t - 1} patterns"):
+        orbits_at_time(t, shorter())
 
 
 def test_orbit_readings_recover_words_at_vertex():
@@ -422,7 +445,11 @@ def _fault_power_of_two_denominator(monkeypatch):
 
 def _fault_missing_pattern(monkeypatch):
     at_time = orbits.orbits_at_time
-    monkeypatch.setattr(orbits, "orbits_at_time", lambda t: at_time(t) - {max(at_time(t))})
+    monkeypatch.setattr(
+        orbits,
+        "orbits_at_time",
+        lambda t, shorter=None: at_time(t, shorter) - {max(at_time(t, shorter))},
+    )
 
 
 def _fault_negated_index(monkeypatch):

@@ -1,3 +1,5 @@
+import random
+
 import numpy as np
 import pytest
 
@@ -28,7 +30,7 @@ def test_row_split_of_hadamard():
 
 
 def test_row_split_partitions_entries_exactly():
-    rng = np.random.default_rng(0)
+    rng = random.Random(0)
     for dim in (2, 3, 4):
         u = random_unitary(dim, rng)
         parts = row_split(u)
@@ -49,7 +51,7 @@ def test_row_split_rejects_non_unitary():
 
 
 def test_random_unitary_channel():
-    rng = np.random.default_rng(1)
+    rng = random.Random(1)
     u = random_unitary(3, rng)
     report = verify_channel(row_split(u))
     assert report.ok and report.max_deviation < 1e-12
@@ -132,7 +134,7 @@ def test_coin_from_angles_covers_hadamard():
 
 
 def test_row_amplitudes_match_induced_bistochastic_row():
-    rng = np.random.default_rng(3)
+    rng = random.Random(3)
     for _ in range(20):
         u = random_unitary(2, rng)
         coin = CoinPair.from_unitary(u)

@@ -1,4 +1,5 @@
 import math
+import random
 import tracemalloc
 
 import numpy as np
@@ -214,9 +215,9 @@ def test_hadamard_two_step_distribution():
 
 
 def test_distribution_against_oracle_for_random_coins():
-    rng = np.random.default_rng(9)
+    rng, unitaries = np.random.default_rng(9), random.Random(9)
     for steps in (1, 3, 7, 12):
-        u = random_unitary(2, rng)
+        u = random_unitary(2, unitaries)
         coin = CoinPair.from_unitary(u)
         psi = rng.normal(size=2) + 1j * rng.normal(size=2)
         psi = psi / np.linalg.norm(psi)
@@ -226,7 +227,7 @@ def test_distribution_against_oracle_for_random_coins():
 
 
 def test_single_step_distribution_is_the_coin_row_algebra():
-    rng = np.random.default_rng(4)
+    rng = random.Random(4)
     u = random_unitary(2, rng)
     coin = CoinPair.from_unitary(u)
     psi = np.array([0.6, 0.8j])
@@ -260,7 +261,7 @@ def test_evaluate_identity_and_word_sums():
 
 
 def test_evaluate_commutes_with_stepping():
-    rng = np.random.default_rng(6)
+    rng = random.Random(6)
     for t in (0, 1, 4, 8):
         coin = CoinPair.from_unitary(random_unitary(2, rng))
         sym = run_symbolic(t)
@@ -294,7 +295,7 @@ def test_commutator_hadamard_matrix():
 
 
 def test_commutator_random_coin():
-    rng = np.random.default_rng(10)
+    rng = random.Random(10)
     coin = CoinPair.from_unitary(random_unitary(2, rng))
     check = verify.commutator_check(coin)
     assert check.ok and verify.COMMUTATOR_TOL == 1e-14
