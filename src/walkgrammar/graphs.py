@@ -1,4 +1,8 @@
-"""Directed graphs, De Bruijn constructions and exact stochastic matrices."""
+"""Directed graphs, De Bruijn constructions, exact stochastic matrices and the row split.
+
+`row_split` serves both sides of the paper's quantisation: it gives B's row
+matrices X_h and a unitary coin's P and Q alike.
+"""
 
 from __future__ import annotations
 
@@ -153,17 +157,9 @@ def ks_entropy(b: StochMatrix) -> float:
     return -sum(float(x) * math.log(float(x)) for row in b.rows for x in row if x) / m
 
 
-def x_decomposition(b: StochMatrix) -> list[tuple[tuple[Fraction, ...], ...]]:
-    """Split B into row matrices X_h keeping row h and zeroing the rest.
-
-    The partition property sum_h X_h = B is verified exactly before
-    returning; the product relations are checked in `verify.verify_x_relations`.
-    """
-    m = b.dimension
-    zero_row = tuple(Fraction(0) for _ in range(m))
-    entries = [tuple(b.rows[i] if i == h else zero_row for i in range(m)) for h in range(m)]
-    for i in range(m):
-        for j in range(m):
-            if sum(e[i][j] for e in entries) != b.rows[i][j]:
-                raise AssertionError(f"row matrices do not sum to B at ({i}, {j})")
-    return entries
+def row_split(rows) -> list[tuple]:
+    """One matrix per row h of the square matrix `rows`: row h is kept and every
+    other row is int zeros, which keep Fraction arithmetic exact and read as +0
+    in a complex array."""
+    zero = (0,) * len(rows)
+    return [tuple(row if i == h else zero for i, row in enumerate(rows)) for h in range(len(rows))]

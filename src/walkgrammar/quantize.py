@@ -1,4 +1,4 @@
-"""Unitary coins, their row split, channel checks and Jones relations.
+"""Unitary coins, their row split (`graphs.row_split`), channel checks and Jones relations.
 
 Algebraic relations are stated in terms of the raw matrix entries u_ij,
 with any overall normalisation absorbed into the entries: for a 2x2 coin
@@ -17,6 +17,8 @@ from collections import namedtuple
 from typing import NamedTuple
 
 import numpy as np
+
+from . import graphs
 
 MATRIX_TOL = 1e-12
 
@@ -65,18 +67,6 @@ def random_unitary(n: int, rng: random.Random) -> np.ndarray:
     return q * (d / np.abs(d))
 
 
-def row_split(u: np.ndarray) -> list[np.ndarray]:
-    """Split a unitary into one matrix per row: Q_h keeps row h, zeroes the rest.
-
-    The split partitions entries, so sum_h Q_h = U exactly, and pointwise
-    |(Q_h)_ij|^2 reproduces the row decomposition of the induced
-    bistochastic matrix B_ij = |U_ij|^2.
-    """
-    u = assert_unitary(u)
-    rows = np.arange(u.shape[0])[:, None]
-    return [np.where(rows == h, u, 0) for h in range(u.shape[0])]
-
-
 class CoinPair(namedtuple("CoinPair", "P Q")):
     """Row split of a 2x2 unitary: P is row one, Q is row two, each a read-only complex
     (2, 2) np.ndarray."""
@@ -96,10 +86,11 @@ class CoinPair(namedtuple("CoinPair", "P Q")):
 
     @classmethod
     def from_unitary(cls, u: np.ndarray) -> "CoinPair":
-        # Before row_split, whose n x n product and n split matrices grow as n^3.
+        # The shape first: the unitarity check's n x n product grows as n^3.  The row
+        # split keeps row h of U bit for bit and zeroes the other as +0.
         if np.shape(u) != (2, 2):
             raise ValueError("coin unitaries are 2x2")
-        return cls(*row_split(u))
+        return cls(*graphs.row_split(assert_unitary(u)))
 
 
 def hadamard_coin() -> CoinPair:

@@ -301,7 +301,12 @@ def commutator_check(coin: quantize.CoinPair) -> CheckResult:
 def walk_checks(max_t: int) -> list[CheckResult]:
     """One pass over t = 0..max(4, max_t) that steps the symbolic walk once: each
     state meets the t <= 4 table, the streamed cells and the laws up to the
-    first broken one, and at t = min(max_t, 8) evaluation commutes with a step."""
+    first broken one, and for t <= 9 it evaluates to run_numeric(coin, t).
+
+    run_numeric(t + 1) is one step of run_numeric(t), so agreement at t and
+    t + 1 means that evaluation commutes with a step: that is checked at
+    every visited t < 9.
+    """
     coin = quantize.hadamard_coin()
     table = in_order = commutes = True
     broken = ""
@@ -314,10 +319,9 @@ def walk_checks(max_t: int) -> list[CheckResult]:
         # The streamed cells, joined as `walk run --symbolic` prints them.
         in_order &= list(walk.symbolic_cells(t)) == ["+".join(c) for c in state.cells]
         broken = broken or broken_cell_law(state)
-        if t == min(max_t, 8):
-            lhs = walk.evaluate(walk.step_symbolic(state), coin)
-            rhs = walk.step_numeric(walk.evaluate(state, coin), coin)
-            commutes = bool(np.max(np.abs(lhs.amps - rhs.amps)) < 1e-12)
+        if t <= 9:
+            deviation = walk.evaluate(state, coin).amps - walk.run_numeric(coin, t).amps
+            commutes &= bool(np.max(np.abs(deviation)) < 1e-12)
     defect = walk.unitarity_defect(walk.run_numeric(coin, 200))
     return [
         CheckResult("symbolic walk reproduces the t<=4 table", table),
@@ -340,6 +344,8 @@ def language_checks(max_t: int) -> list[CheckResult]:
     and the cells hold as many words as the grammar: so the grammar's words
     are exactly the words at the vertices, each at its own.
     """
+    if max_t < 2:
+        raise ValueError(f"the language starts at t = 2, got max_t = {max_t}")
     equivalent = True
     for t in range(2, min(max_t, GRAMMAR_WORDS_T_MAX) + 1):
         words = language.generate(t, "markov")
@@ -446,11 +452,12 @@ def _mat_mul_exact(a, b):
 def verify_x_relations(b: graphs.StochMatrix) -> bool:
     """Check X_h X_l = B_hl X_l exactly for every (h, l), words read in application order.
 
-    X_h X_l means X_h acts first, i.e. the matrix product X_l . X_h.  The
-    relation holds whenever the rows of B coincide (the 1/n family); on a
-    general bistochastic matrix it can fail.
+    X_h X_l means X_h acts first, i.e. the matrix product X_l . X_h, and X_h
+    is `graphs.row_split`'s matrix h of B, the split that gives a coin's P and
+    Q.  The relation holds whenever the rows of B coincide (the 1/n family);
+    on a general bistochastic matrix it can fail.
     """
-    entries = graphs.x_decomposition(b)
+    entries = graphs.row_split(b.rows)
     m = b.dimension
     return all(
         _mat_mul_exact(entries[l], entries[h])
@@ -467,7 +474,7 @@ def quantize_checks() -> list[CheckResult]:
     ok = True
     for i in range(40):
         u = quantize.random_unitary(2 + i % 4, rng)
-        report = quantize.verify_channel(quantize.row_split(u))
+        report = quantize.verify_channel(graphs.row_split(u))
         worst = max(worst, report.max_deviation)
         ok = ok and report.ok
     results.append(

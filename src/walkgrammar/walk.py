@@ -69,8 +69,7 @@ P term, is its Q term added to zeros no earlier step wrote.
 Past about 2000 steps the walk's tails hold subnormal doubles, whose
 arithmetic is slow on many x86 CPUs; no layout that keeps the bytes
 avoids that cost.  `run_numeric` swaps two planes from step to step, and
-`NumericState` copies the last one into its (cells, 2, 2) layout;
-`step_numeric` runs the kernel on a column-plane copy of that layout.
+`NumericState` copies the last one into its (cells, 2, 2) layout.
 """
 
 from __future__ import annotations
@@ -167,14 +166,6 @@ def _advance(src: np.ndarray, dst: np.ndarray, tmp: np.ndarray, coin: CoinPair) 
     np.multiply(src[0], coin.P[0][:, None], out=dst[:, :w])
     np.multiply(src[1], coin.Q[1][:, None], out=tmp[:, :w])
     dst[:, 2 : w + 2] += tmp[:, :w]
-
-
-def step_numeric(s: NumericState, coin: CoinPair) -> NumericState:
-    n = s.time
-    src = s.amps.transpose(2, 0, 1).reshape(2, 2 * n + 2)
-    dst = np.zeros((2, 2 * n + 4), dtype=complex)
-    _advance(src, dst, np.empty_like(src), coin)
-    return NumericState(n + 1, dst.reshape(2, n + 2, 2).transpose(1, 2, 0))
 
 
 def _require_numeric_steps(steps: int) -> None:

@@ -3,14 +3,51 @@
 Everything here is rebuilt from first principles (letters as overlapping
 P/Q windows, walks as spinor fields, cycles by DFS) so that the tests
 check the package against a second route, not against itself.
+`run_python` is the one way the tests start a fresh interpreter.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import resource
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
+
+import walkgrammar
+
+SRC = str(Path(walkgrammar.__file__).resolve().parents[1])
+CLI = ("-m", "walkgrammar.cli")
+
+
+def _limit_memory() -> None:
+    # 1 GiB of address space: a regression that builds the 2^N words fails
+    # with MemoryError instead of exhausting the machine.
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+def run_python(*args: str, env=None, memory_cap: bool = False, **kwargs) -> subprocess.CompletedProcess:
+    """Run a fresh interpreter on `args` (`*CLI, ...` for the CLI) with the package on its path.
+
+    The child's environment is this process's without OPENBLAS_NUM_THREADS,
+    which in-process CLI runs leave set, plus `env`.  `memory_cap` limits its
+    address space to 1 GiB.  Output is captured as text unless `kwargs` say
+    otherwise; they go to `subprocess.run`.
+    """
+    inherited = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    kwargs.setdefault("stdout", subprocess.PIPE)
+    kwargs.setdefault("stderr", subprocess.PIPE)
+    kwargs.setdefault("text", True)
+    return subprocess.run(
+        [sys.executable, *args],
+        env=dict(inherited, PYTHONPATH=SRC, **(env or {})),
+        preexec_fn=_limit_memory if memory_cap else None,
+        **kwargs,
+    )
 
 # Letters as two-symbol windows over {P, Q}.
 PAIRS = {"a": "PP", "b": "PQ", "c": "QP", "d": "QQ"}

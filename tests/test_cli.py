@@ -2,9 +2,7 @@ import contextlib
 import io
 import json
 import os
-import resource
 import subprocess
-import sys
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -13,11 +11,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import walkgrammar
-from walkgrammar import coalgebra, language, orbits, quantize, walk
+from walkgrammar import coalgebra, graphs, language, orbits, quantize, walk
 from walkgrammar.cli import JSON_BATCH_VALUES, main
 
-from helpers import PAIRS, spinor_walk_distribution
+from helpers import CLI, PAIRS, run_python, spinor_walk_distribution
 import numpy as np
 
 
@@ -122,12 +119,7 @@ def test_walk_run_refuses_a_bad_spinor_before_it_steps(capsys, monkeypatch):
 
 def test_walk_plot_at_the_step_cap_fits_in_a_gibibyte():
     # The stepper took minutes here; the FFT engine takes well under a second.
-    src = str(Path(walkgrammar.__file__).resolve().parents[1])
-    done = subprocess.run(
-        [sys.executable, "-m", "walkgrammar.cli", "walk", "plot", "--steps", "100000"],
-        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=30,
-        preexec_fn=_limit_memory,
-    )
+    done = run_python(*CLI, "walk", "plot", "--steps", "100000", timeout=30, memory_cap=True)
     assert (done.returncode, done.stderr) == (0, "")
     assert done.stdout.count('<rect x="') == 100001
 
@@ -327,12 +319,12 @@ def test_coin_check_from_file(capsys, tmp_path):
 )
 def test_coin_check_validates_and_splits_its_coin_once(capsys, monkeypatch, coin_options):
     calls = {}
-    for name in ("assert_unitary", "row_split"):
-        def counted(u, name=name, check=getattr(quantize, name)):
+    for module, name in ((quantize, "assert_unitary"), (graphs, "row_split")):
+        def counted(u, name=name, check=getattr(module, name)):
             calls[name] = calls.get(name, 0) + 1
             return check(u)
 
-        monkeypatch.setattr(quantize, name, counted)
+        monkeypatch.setattr(module, name, counted)
     code, _, _ = run_cli(capsys, "coin", "check", *coin_options)
     assert code == 0
     assert calls == {"assert_unitary": 1, "row_split": 1}
@@ -392,14 +384,9 @@ SYMBOLIC_CUSTOM = (
 
 
 def test_walk_run_symbolic_is_independent_of_hash_seed():
-    src = str(Path(walkgrammar.__file__).resolve().parents[1])
     outputs = []
     for seed in ("1", "2"):
-        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
-        done = subprocess.run(
-            [sys.executable, "-m", "walkgrammar.cli", *SYMBOLIC_CUSTOM],
-            env=env, capture_output=True, text=True, check=True,
-        )
+        done = run_python(*CLI, *SYMBOLIC_CUSTOM, env={"PYTHONHASHSEED": seed}, check=True)
         outputs.append(done.stdout)
     assert outputs[0] == outputs[1]
 
@@ -454,14 +441,10 @@ HUGE_COIN_ERRORS = {
 
 def test_coin_file_with_infinite_entry_is_one_line_error(tmp_path):
     # In a console run a numpy warning would add stderr lines before the error.
-    src = str(Path(walkgrammar.__file__).resolve().parents[1])
     for entry, error in HUGE_COIN_ERRORS.items():
         coin_file = tmp_path / "coin.json"
         coin_file.write_text(f'{{"re": [[{entry}, 0], [0, 1]], "im": [[0, 0], [0, 0]]}}')
-        done = subprocess.run(
-            [sys.executable, "-m", "walkgrammar.cli", "coin", "check", "--coin-file", str(coin_file)],
-            env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=60,
-        )
+        done = run_python(*CLI, "coin", "check", "--coin-file", str(coin_file), timeout=60)
         assert_one_line_error(done.returncode, done.stdout, done.stderr)
         assert done.stderr == error, entry[:10]
 
@@ -470,11 +453,8 @@ def test_exponent_coefficient_is_refused_at_once(tmp_path):
     # Fraction reads "1e10000000" as a ten-million-digit integer, which runs for minutes.
     delta_file = tmp_path / "delta.json"
     delta_file.write_text('{"alphabet": ["a"], "rules": {"a": [["a", "a", "1e10000000"]]}}')
-    src = str(Path(walkgrammar.__file__).resolve().parents[1])
-    done = subprocess.run(
-        [sys.executable, "-m", "walkgrammar.cli", "verify", "axiom", "--axiom", "coassociativity",
-         "--delta", str(delta_file)],
-        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=10,
+    done = run_python(
+        *CLI, "verify", "axiom", "--axiom", "coassociativity", "--delta", str(delta_file), timeout=10
     )
     assert_one_line_error(done.returncode, done.stdout, done.stderr)
     assert done.stderr == "error: scalar must be an int or a 'p/q' string, got '1e10000000'\n"
@@ -484,12 +464,7 @@ def test_exponent_coefficient_is_refused_at_once(tmp_path):
 def test_huge_spinor_is_one_line_error(command):
     # In-process runs show a numpy warning once per process, so only a fresh
     # interpreter shows whether the norm check warns.
-    src = str(Path(walkgrammar.__file__).resolve().parents[1])
-    done = subprocess.run(
-        [sys.executable, "-m", "walkgrammar.cli", "walk", command, "--steps", "3",
-         "--psi", "1e200,0,0,0"],
-        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=60,
-    )
+    done = run_python(*CLI, "walk", command, "--steps", "3", "--psi", "1e200,0,0,0", timeout=60)
     assert_one_line_error(done.returncode, done.stdout, done.stderr)
     assert done.stderr == "error: initial spinor must have unit norm\n"
 
@@ -517,11 +492,7 @@ def test_large_coin_file_is_refused_before_any_product(tmp_path):
         "print(next(l for l in open('/proc/self/status') if l.startswith('VmHWM:')).split()[1])\n"
         "sys.exit(code)\n"
     )
-    src = str(Path(walkgrammar.__file__).resolve().parents[1])
-    done = subprocess.run(
-        [sys.executable, "-c", code, "coin", "check", "--coin-file", str(coin_file)],
-        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=60,
-    )
+    done = run_python("-c", code, "coin", "check", "--coin-file", str(coin_file), timeout=60)
     assert (done.returncode, done.stderr) == (1, "error: coin unitaries are 2x2\n")
     assert int(done.stdout) < 100 * 1024, f"peak RSS {int(done.stdout) // 1024} MiB"
 
@@ -529,19 +500,9 @@ def test_large_coin_file_is_refused_before_any_product(tmp_path):
 @pytest.mark.parametrize("command", ["run", "plot"])
 def test_walk_steps_beyond_the_cap_fail_fast(command):
     # A subprocess with a timeout: without the cap the stepper runs for hours.
-    src = str(Path(walkgrammar.__file__).resolve().parents[1])
-    done = subprocess.run(
-        [sys.executable, "-m", "walkgrammar.cli", "walk", command, "--steps", "1000000000000"],
-        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=60,
-    )
+    done = run_python(*CLI, "walk", command, "--steps", "1000000000000", timeout=60)
     assert_one_line_error(done.returncode, done.stdout, done.stderr)
     assert "capped at 100000 steps" in done.stderr
-
-
-def _limit_memory():
-    # 1 GiB of address space: a regression that builds the 2^N words fails
-    # with MemoryError instead of exhausting the machine.
-    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
 
 @pytest.mark.parametrize(
@@ -556,12 +517,7 @@ def _limit_memory():
     ],
 )
 def test_word_set_sizes_beyond_the_cap_fail_fast(argv):
-    src = str(Path(walkgrammar.__file__).resolve().parents[1])
-    done = subprocess.run(
-        [sys.executable, "-m", "walkgrammar.cli", *argv],
-        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=60,
-        preexec_fn=_limit_memory,
-    )
+    done = run_python(*CLI, *argv, timeout=60, memory_cap=True)
     assert_one_line_error(done.returncode, done.stdout, done.stderr)
     assert "exceeds the word-set cap 24" in done.stderr
 
@@ -569,24 +525,14 @@ def test_word_set_sizes_beyond_the_cap_fail_fast(argv):
 def test_verify_all_past_its_cap_is_refused_before_any_suite():
     # Refused before any suite: the 2^21 words the walk, language and orbit suites hold
     # at max_t = 21 do not fit in 1 GiB of address space.
-    src = str(Path(walkgrammar.__file__).resolve().parents[1])
-    done = subprocess.run(
-        [sys.executable, "-m", "walkgrammar.cli", "verify", "all", "--max-t", "21"],
-        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=60,
-        preexec_fn=_limit_memory,
-    )
+    done = run_python(*CLI, "verify", "all", "--max-t", "21", timeout=60, memory_cap=True)
     assert_one_line_error(done.returncode, done.stdout, done.stderr)
     assert "exceeds the verify-all cap 20" in done.stderr
 
 
 def test_running_out_of_memory_is_a_one_line_error():
     # The 2^24 words of `lang generate --t 24` do not fit in 1 GiB of address space.
-    src = str(Path(walkgrammar.__file__).resolve().parents[1])
-    done = subprocess.run(
-        [sys.executable, "-m", "walkgrammar.cli", "lang", "generate", "--t", "24"],
-        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=120,
-        preexec_fn=_limit_memory,
-    )
+    done = run_python(*CLI, "lang", "generate", "--t", "24", timeout=120, memory_cap=True)
     assert_one_line_error(done.returncode, done.stdout, done.stderr)
     assert done.stderr == "error: out of memory\n"
 
@@ -597,20 +543,11 @@ JSON_FILE_COMMANDS = [
 ]
 
 
-def _run_on_json_file(argv, path):
-    src = str(Path(walkgrammar.__file__).resolve().parents[1])
-    return subprocess.run(
-        [sys.executable, "-m", "walkgrammar.cli", *argv, str(path)],
-        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=60,
-        preexec_fn=_limit_memory,
-    )
-
-
 @pytest.mark.parametrize("argv", JSON_FILE_COMMANDS)
 def test_deeply_nested_json_is_a_one_line_error(tmp_path, argv):
     deep = tmp_path / "deep.json"
     deep.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
-    done = _run_on_json_file(argv, deep)
+    done = run_python(*CLI, *argv, str(deep), timeout=60, memory_cap=True)
     assert_one_line_error(done.returncode, done.stdout, done.stderr)
     assert "nests its JSON too deeply" in done.stderr
 
@@ -618,32 +555,25 @@ def test_deeply_nested_json_is_a_one_line_error(tmp_path, argv):
 @pytest.mark.parametrize("argv", JSON_FILE_COMMANDS)
 def test_an_endless_json_file_is_read_up_to_the_cap(argv):
     # /dev/zero never ends: only the cap stops the read.
-    done = _run_on_json_file(argv, "/dev/zero")
+    done = run_python(*CLI, *argv, "/dev/zero", timeout=60, memory_cap=True)
     assert_one_line_error(done.returncode, done.stdout, done.stderr)
     assert done.stderr == "error: /dev/zero exceeds the input cap of 1048576 bytes\n"
 
 
 def test_symbolic_walk_at_the_word_cap_fits_in_a_gibibyte():
     # Rows are written a cell at a time: the 2^24 words are never held as objects.
-    src = str(Path(walkgrammar.__file__).resolve().parents[1])
-    done = subprocess.run(
-        [sys.executable, "-m", "walkgrammar.cli", "walk", "run", "--steps", "24", "--symbolic"],
-        env=dict(os.environ, PYTHONPATH=src), stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
-        text=True, timeout=120, preexec_fn=_limit_memory,
+    done = run_python(
+        *CLI, "walk", "run", "--steps", "24", "--symbolic",
+        stdout=subprocess.DEVNULL, timeout=120, memory_cap=True,
     )
     assert (done.returncode, done.stderr) == (0, "")
 
 
 def test_lang_generate_at_the_word_cap_fits_in_a_gibibyte(tmp_path):
     # The C(24, 12) words of vertex 0 are built as text and written a row at a time.
-    src = str(Path(walkgrammar.__file__).resolve().parents[1])
     target = tmp_path / "words.csv"
     argv = ["lang", "generate", "--t", "24", "--vertex", "0", "--out", str(target), "--quiet"]
-    done = subprocess.run(
-        [sys.executable, "-m", "walkgrammar.cli", *argv],
-        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=120,
-        preexec_fn=_limit_memory,
-    )
+    done = run_python(*CLI, *argv, timeout=120, memory_cap=True)
     assert (done.returncode, done.stdout, done.stderr) == (0, "", "")
     with target.open(encoding="utf-8") as fh:
         assert fh.readline() == "word,index,contraction\n"
@@ -680,11 +610,7 @@ def test_coin_check_refuses_a_non_finite_jones_parameter(tmp_path):
     # Diagonal entries of 1e-200: their product underflows to zero, so lambda is inf/NaN.
     coin_file = tmp_path / "coin.json"
     coin_file.write_text(json.dumps({"re": [[1e-200, 1], [1, -1e-200]], "im": [[0, 0], [0, 0]]}))
-    src = str(Path(walkgrammar.__file__).resolve().parents[1])
-    done = subprocess.run(
-        [sys.executable, "-m", "walkgrammar.cli", "coin", "check", "--coin-file", str(coin_file)],
-        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=60,
-    )
+    done = run_python(*CLI, "coin", "check", "--coin-file", str(coin_file), timeout=60)
     jones = [line for line in done.stdout.splitlines() if line.startswith("jones parameter:")]
     assert jones == ["jones parameter: undefined (non-finite Jones parameter)"]
     assert "RuntimeWarning" not in done.stderr

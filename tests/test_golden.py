@@ -19,16 +19,14 @@ from __future__ import annotations
 
 import contextlib
 import io
-import os
 import shlex
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
 
-import walkgrammar
 from walkgrammar.cli import main
+
+from helpers import CLI, run_python
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 INPUTS = GOLDEN / "inputs"
@@ -103,15 +101,10 @@ SUBPROCESS_CASES = [
 
 @pytest.mark.parametrize("seed", ["1", "2"])
 def test_golden_subset_under_optimize_and_hash_seeds(seed):
-    src = str(Path(walkgrammar.__file__).resolve().parents[1])
-    # Without OPENBLAS_NUM_THREADS, which in-process runs leave set: the CLI sets its own.
-    inherited = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
-    env = dict(inherited, PYTHONPATH=src, PYTHONHASHSEED=seed, PYTHONIOENCODING="utf-8")
+    # The CLI sets its own OPENBLAS_NUM_THREADS, which run_python drops from the inherited one.
+    env = {"PYTHONHASHSEED": seed, "PYTHONIOENCODING": "utf-8"}
     for name in SUBPROCESS_CASES:
-        done = subprocess.run(
-            [sys.executable, "-O", "-m", "walkgrammar.cli", *CASES[name]],
-            env=env, capture_output=True, timeout=120,
-        )
+        done = run_python("-O", *CLI, *CASES[name], env=env, text=False, timeout=120)
         assert (done.returncode, done.stdout) == _expected(name), name
         if done.returncode == 1:
             # A console run shows warnings that an in-process run may not.

@@ -1,10 +1,6 @@
 import itertools
 import math
-import os
-import subprocess
-import sys
 from fractions import Fraction
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,12 +15,12 @@ from walkgrammar.graphs import (
     extension,
     ks_entropy,
     regular_system_matrix,
-    x_decomposition,
+    row_split,
 )
 from walkgrammar.quantize import hadamard
 from walkgrammar.verify import is_unistochastic, verify_x_relations
 
-from helpers import ADJACENT, PAIRS, dense_product, random_bistochastic, x_relation_failures
+from helpers import ADJACENT, PAIRS, dense_product, random_bistochastic, run_python, x_relation_failures
 
 
 def test_de_bruijn_two_vertices():
@@ -112,12 +108,8 @@ def test_stoch_matrix_text_entries_are_integers_or_fractions():
 
 def test_exponent_entry_is_refused_at_once():
     # Fraction reads "1e10000000" as a ten-million-digit integer, which runs for minutes.
-    src = str(Path(graphs.__file__).resolve().parents[1])
     code = "from walkgrammar.graphs import StochMatrix; StochMatrix([['1e10000000']])"
-    done = subprocess.run(
-        [sys.executable, "-c", code],
-        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=10,
-    )
+    done = run_python("-c", code, timeout=10)
     assert done.returncode == 1
     assert done.stderr.splitlines()[-1] == (
         "ValueError: scalar must be an int or a 'p/q' string, got '1e10000000'"
@@ -149,8 +141,9 @@ def test_ks_entropy_rejects_non_bistochastic():
 
 
 def test_x_decomposition_of_uniform_matrix():
+    # X_h, the row matrices of B, are the row split of its rows.
     half = Fraction(1, 2)
-    x1, x2 = x_decomposition(bernoulli_matrix(2))
+    x1, x2 = row_split(bernoulli_matrix(2).rows)
     assert x1 == ((half, half), (0, 0))
     assert x2 == ((0, 0), (half, half))
     # X1 X2 = B_12 X2 with the product read in application order (X1 first).
@@ -163,7 +156,7 @@ def test_x_decomposition_sums_to_b_on_random_matrices():
     for dim in range(2, 7):
         for _ in range(4):
             b = random_bistochastic(rng, dim)
-            entries = x_decomposition(b)
+            entries = row_split(b.rows)
             for i in range(dim):
                 for j in range(dim):
                     assert sum(e[i][j] for e in entries) == b.rows[i][j]
@@ -203,7 +196,7 @@ def test_x_relations_match_the_dense_product_oracle():
     for b in matrices:
         assert verify_x_relations(b) == (not x_relation_failures(b.rows))
         # B.B sums several nonzero terms per entry; X products sum at most one.
-        for x, y in [(b.rows, b.rows)] + list(itertools.product(x_decomposition(b), repeat=2)):
+        for x, y in [(b.rows, b.rows)] + list(itertools.product(row_split(b.rows), repeat=2)):
             assert verify._mat_mul_exact(x, y) == dense_product(x, y)
     assert x_relation_failures(mixed.rows)
 

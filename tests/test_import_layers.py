@@ -8,15 +8,12 @@ unless a test sets it: in-process CLI runs in this process leave it set.
 
 import ast
 import os
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
 
-import walkgrammar
+from helpers import run_python
 
-SRC = str(Path(walkgrammar.__file__).resolve().parents[1])
 INPUTS = Path(__file__).parent / "golden" / "inputs"
 
 # Runs the CLI on its arguments, then prints one expression over the process's state.
@@ -38,11 +35,7 @@ RANDOM_PROBE = CLI_PROBE_THEN.format('sorted({"numpy.random", "secrets", "hashli
 
 
 def probe(code: str, *argv: str, **env: str) -> list[str]:
-    inherited = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
-    done = subprocess.run(
-        [sys.executable, "-c", code, *argv],
-        env=dict(inherited, PYTHONPATH=SRC, **env), capture_output=True, text=True, timeout=60,
-    )
+    done = run_python("-c", code, *argv, env=env, timeout=60)
     assert done.returncode == 0, done.stderr
     return done.stdout.splitlines()
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from walkgrammar import coalgebra, language, verify
+from walkgrammar import coalgebra, language, verify, walk
 from walkgrammar.coalgebra import CoproductTable, FormalSum, iterate_rightmost
 from walkgrammar.language import (
     contract,
@@ -408,3 +408,11 @@ def test_language_suite_compares_word_sets_to_t_eight(monkeypatch):
     assert all(verify.language_checks(10))
     compared = range(2, verify.GRAMMAR_WORDS_T_MAX + 1)
     assert levels == [(t, g) for t in compared for g in ("markov", "coassoc")] + [(10, "markov")]
+
+
+@pytest.mark.parametrize("max_t", [0, 1])
+def test_language_suite_below_time_two_is_refused_before_any_level(monkeypatch, max_t):
+    monkeypatch.setattr(language, "generate", None)
+    monkeypatch.setattr(walk, "run_symbolic", None)
+    with pytest.raises(ValueError, match=f"the language starts at t = 2, got max_t = {max_t}"):
+        verify.language_checks(max_t)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from walkgrammar import quantize
-from walkgrammar.graphs import bernoulli_matrix, x_decomposition
+from walkgrammar.graphs import bernoulli_matrix, row_split
 from walkgrammar.quantize import (
     CoinPair,
     coin_from_angles,
@@ -13,7 +13,6 @@ from walkgrammar.quantize import (
     hadamard_coin,
     jones_parameter,
     random_unitary,
-    row_split,
     verify_channel,
     verify_pq_relations,
 )
@@ -21,8 +20,13 @@ from walkgrammar.quantize import (
 RT2 = 1 / np.sqrt(2)
 
 
+def split(u) -> list[np.ndarray]:
+    """The row split of a matrix, each part as the complex array a coin reads it as."""
+    return [np.array(m, dtype=complex) for m in row_split(np.asarray(u, dtype=complex))]
+
+
 def test_row_split_of_hadamard():
-    p, q = row_split(hadamard())
+    p, q = split(hadamard())
     np.testing.assert_allclose(p, RT2 * np.array([[1, 1], [0, 0]]), atol=1e-15)
     np.testing.assert_allclose(q, RT2 * np.array([[0, 0], [1, -1]]), atol=1e-15)
     # The zeroed rows are +0 in both parts, so P + Q reproduces U bit for bit.
@@ -33,12 +37,12 @@ def test_row_split_partitions_entries_exactly():
     rng = random.Random(0)
     for dim in (2, 3, 4):
         u = random_unitary(dim, rng)
-        parts = row_split(u)
+        parts = split(u)
         assert np.array_equal(sum(parts), u)
 
 
 def test_row_split_of_identity():
-    parts = row_split(np.eye(3))
+    parts = split(np.eye(3))
     for h, ph in enumerate(parts):
         for l, pl in enumerate(parts):
             target = pl if h == l else np.zeros((3, 3))
@@ -46,23 +50,30 @@ def test_row_split_of_identity():
 
 
 def test_row_split_rejects_non_unitary():
+    # A coin is split only once it is checked unitary.
     with pytest.raises(ValueError, match="unitary"):
-        row_split(np.array([[1, 1], [0, 1]]))
+        CoinPair.from_unitary(np.array([[1, 1], [0, 1]]))
 
 
 def test_random_unitary_channel():
     rng = random.Random(1)
     u = random_unitary(3, rng)
-    report = verify_channel(row_split(u))
+    report = verify_channel(split(u))
     assert report.ok and report.max_deviation < 1e-12
 
 
 def test_pointwise_link_to_x_decomposition():
-    # |Q_h|^2 entrywise equals the classical row decomposition of B_2.
-    xs = x_decomposition(bernoulli_matrix(2))
-    qs = row_split(hadamard())
+    # |Q_h|^2 entrywise equals the classical row decomposition of B_2: one split serves both.
+    xs = row_split(bernoulli_matrix(2).rows)
+    qs = split(hadamard())
     for x, q in zip(xs, qs):
         np.testing.assert_allclose(np.abs(q) ** 2, np.array(x, dtype=float), atol=1e-12)
+
+
+def test_the_split_of_hadamard_is_the_hadamard_coin_bit_for_bit():
+    bits = np.uint64
+    for part, coin_part in zip(split(hadamard()), hadamard_coin()):
+        assert np.array_equal(part.view(bits), coin_part.view(bits))
 
 
 def test_coin_pair_invariants():
@@ -74,7 +85,7 @@ def test_coin_pair_invariants():
 
 
 def test_verify_channel_cases():
-    assert verify_channel(row_split(hadamard())).max_deviation < 1e-15
+    assert verify_channel(split(hadamard())).max_deviation < 1e-15
     assert verify_channel([np.eye(2)]).ok
     coin = hadamard_coin()
     duplicated = verify_channel([coin.P, coin.P])

@@ -29,7 +29,7 @@ Records are named tuples, and a validated record checks its fields in
 `_make` or `_replace`, which build a record without calling `__new__`.
 
 A law is reported as a `verify` check's result, never as an exception:
-no module catches `AssertionError`.  Every name a module imports is used in
+no module raises or catches `AssertionError`.  Every name a module imports is used in
 that module; a name a test reads is read from the module that defines it.
 """
 
@@ -389,6 +389,41 @@ def test_an_assertion_error_handler_is_found(tmp_path):
         encoding="utf-8",
     )
     assert assertion_catches([tmp_path / "m.py"]) == ["m.py:3", "m.py:7"]
+
+
+def assertion_raises(paths) -> list[str]:
+    """Every `raise` of AssertionError, the class or a call of it."""
+    found = []
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                raised = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if isinstance(raised, ast.Name) and raised.id == "AssertionError":
+                    found.append(f"{path.name}:{node.lineno}")
+    return found
+
+
+def test_no_module_raises_assertion_error():
+    offenders = assertion_raises(MODULES)
+    assert not offenders, f"AssertionError raised: {offenders}"
+
+
+def test_an_assertion_error_raise_is_found(tmp_path):
+    (tmp_path / "m.py").write_text(
+        "def f(x):\n"
+        "    if x:\n"
+        "        raise AssertionError('a law broken')\n"
+        "    raise AssertionError\n"
+        "def g():\n"
+        "    raise ValueError('AssertionError')\n"
+        "def h():\n"
+        "    try:\n"
+        "        pass\n"
+        "    except AssertionError:\n"
+        "        raise\n",
+        encoding="utf-8",
+    )
+    assert sorted(assertion_raises([tmp_path / "m.py"])) == ["m.py:3", "m.py:4"]
 
 
 def unused_imports(paths) -> list[str]:

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from walkgrammar import language, verify, walk
 from walkgrammar.coalgebra import FormalSum
+from walkgrammar.graphs import bernoulli_matrix, row_split
 from walkgrammar.quantize import (
     CoinPair,
     coin_from_angles,
@@ -25,7 +26,6 @@ from walkgrammar.walk import (
     initial_symbolic,
     run_numeric,
     run_symbolic,
-    step_numeric,
     step_symbolic,
     symbolic_cells as streamed_cells,
     unitarity_defect,
@@ -133,14 +133,6 @@ def test_symbolic_cap():
         run_symbolic(25)
 
 
-def test_step_numeric_first_step():
-    coin = hadamard_coin()
-    s1 = step_numeric(run_numeric(coin, 0), coin)
-    # Cells are stored in the order of vertices(1): -1, then 1.
-    np.testing.assert_allclose(s1.amps[0], coin.P, atol=1e-15)
-    np.testing.assert_allclose(s1.amps[1], coin.Q, atol=1e-15)
-
-
 def test_run_numeric_equals_the_matmul_recurrence_for_hadamard():
     coin = hadamard_coin()
     for steps in (0, 1, 2, 5, 50, 300):
@@ -166,15 +158,15 @@ def test_run_numeric_equals_the_matmul_recurrence(theta, phi1, phi2, steps):
     assert np.array_equal(run_numeric(coin, steps).amps, matmul_walk(coin, steps))
 
 
-@settings(max_examples=30, deadline=None)
-@given(theta=ANGLE, phi1=ANGLE, phi2=ANGLE, steps=st.integers(0, 300))
-def test_step_numeric_continues_run_numeric(theta, phi1, phi2, steps):
-    coin = CoinPair.from_unitary(coin_from_angles(theta, phi1, phi2))
-    stepped = step_numeric(run_numeric(coin, steps), coin)
-    assert stepped.time == steps + 1
-    # One kernel behind both: the same bits, signs of zeros included.
-    bits = np.uint64
-    assert np.array_equal(stepped.amps.view(bits), run_numeric(coin, steps + 1).amps.view(bits))
+def test_the_row_split_of_the_uniform_matrix_walks_the_binomial_law():
+    # The classical walk is the quantum walk's stepper on B's row matrices, not U's.
+    coin = CoinPair(*row_split(bernoulli_matrix(2).rows))
+    # p_n(k) = 1^T cell(n, k) q.
+    q = np.array([0.5, 0.5])
+    probs = np.einsum("kij,j->k", run_numeric(coin, 30).amps, q).real
+    # Cells are in the order of vertices(30): vertex 2j - 30 holds the words with j Q's.
+    expected = np.array([math.comb(30, j) / 2**30 for j in range(31)])
+    assert np.max(np.abs(probs - expected)) == 0.0
 
 
 def test_run_numeric_holds_three_column_planes_at_its_peak():
@@ -262,12 +254,12 @@ def test_evaluate_identity_and_word_sums():
 
 def test_evaluate_commutes_with_stepping():
     rng = random.Random(6)
+    # run_numeric(t + 1) is one step of run_numeric(t), so agreement at t and t + 1 commutes.
     for t in (0, 1, 4, 8):
         coin = CoinPair.from_unitary(random_unitary(2, rng))
-        sym = run_symbolic(t)
-        lhs = evaluate(step_symbolic(sym), coin)
-        rhs = step_numeric(evaluate(sym, coin), coin)
-        np.testing.assert_allclose(lhs.amps, rhs.amps, atol=1e-12)
+        for steps in (t, t + 1):
+            lhs = evaluate(run_symbolic(steps), coin)
+            np.testing.assert_allclose(lhs.amps, run_numeric(coin, steps).amps, atol=1e-12)
 
 
 def test_evaluate_matches_numeric_run_at_t4():
@@ -440,8 +432,8 @@ def test_walk_suite_steps_the_symbolic_walk_once(monkeypatch):
     monkeypatch.setattr(walk, "step_symbolic", recording)
     monkeypatch.setattr(walk, "run_symbolic", None)
     assert all(verify.walk_checks(6))
-    # t = 1..6 once each, then one step past t = 6 for the commutation check.
-    assert steps == [0, 1, 2, 3, 4, 5, 6]
+    # t = 1..6 once each: the commutation check compares each state with run_numeric.
+    assert steps == [0, 1, 2, 3, 4, 5]
 
 
 TABLE = "symbolic walk reproduces the t<=4 table"
@@ -478,17 +470,21 @@ def _fault_reversed_cell(monkeypatch):
 
 
 def _fault_numeric_offset(monkeypatch):
-    step = walk.step_numeric
+    evaluate = walk.evaluate
     monkeypatch.setattr(
-        walk, "step_numeric", lambda s, coin: walk.NumericState(s.time + 1, step(s, coin).amps + 1e-9)
+        walk, "evaluate", lambda s, coin: walk.NumericState(s.time, evaluate(s, coin).amps + 1e-9)
     )
 
 
 @pytest.mark.parametrize(
     "fault, failing",
     [
-        # The streamed cells keep the dropped word, so the order check fails too.
-        (_fault_dropped_word, {TABLE: "", LAWS: "cell -1 holds 2 words, expected 3", IN_ORDER: ""}),
+        # The streamed cells and run_numeric keep the dropped word, so the order and
+        # commutation checks fail too.
+        (
+            _fault_dropped_word,
+            {TABLE: "", LAWS: "cell -1 holds 2 words, expected 3", IN_ORDER: "", COMMUTES: ""},
+        ),
         (_fault_reversed_cell, {IN_ORDER: ""}),
         (_fault_numeric_offset, {COMMUTES: ""}),
     ],
