@@ -119,11 +119,12 @@ def _resolve_coin(args):
 def _parse_psi(text: str):
     """The unit spinor --psi names, refused before any walk runs."""
     from . import walk
-    parts = text.split(",")
-    if len(parts) != 4:
-        raise ValueError("--psi expects four comma-separated numbers: re,im,re,im")
-    values = [float(p) for p in parts]
-    return walk.unit_spinor([values[0] + 1j * values[1], values[2] + 1j * values[3]])
+    try:
+        # A count other than four fails the unpacking, an entry float cannot read the map.
+        re0, im0, re1, im1 = map(float, text.split(","))
+    except ValueError:
+        raise ValueError("--psi expects four comma-separated numbers: re,im,re,im") from None
+    return walk.unit_spinor([re0 + 1j * im0, re1 + 1j * im1])
 
 
 def _emit(chunks: Iterable[str], args) -> None:
@@ -317,23 +318,14 @@ def cmd_orbits_enumerate(args) -> int:
     return 0
 
 
-def _pattern(letters: str) -> orbits.Pattern:
-    """The CLI's pattern, refused past the length cap before it is built."""
-    if len(letters) > orbits.PATTERN_MAX_LETTERS:
-        raise ValueError(
-            f"pattern of {len(letters)} letters exceeds the cap {orbits.PATTERN_MAX_LETTERS}"
-        )
-    return orbits.Pattern(letters)
-
-
 def cmd_orbits_read(args) -> int:
-    pattern = _pattern(args.pattern)
+    pattern = orbits.Pattern(args.pattern)
     _emit_table(WORD_COLUMNS, _word_rows(orbits.read(pattern)), args)
     return 0
 
 
 def cmd_orbits_decompose(args) -> int:
-    pattern = _pattern(args.pattern)
+    pattern = orbits.Pattern(args.pattern)
     dec = orbits.decompose(pattern)
     pieces = dec.fundamentals()
     payload = {

@@ -12,7 +12,8 @@ Q-count minus the P-count of its contraction (`pq_index`).
 
 The walk's lattice lives here too, so the word and orbit layers need no
 numeric code: `vertices(t)` are the vertices a time-t word can end at,
-and `require_word_time` caps every word set at WORD_TIME_MAX.
+and `require_word_time` is the one rule that admits a word-set time, from
+its least value up to WORD_TIME_MAX.
 
 Times 0 and 1 have no letter words (their walk cells are the empty word,
 P and Q); the language starts at t = 2, where the time-t words are the
@@ -106,8 +107,16 @@ def pq_index(w: str) -> int:
     return len(w) - 2 * w.count("P")
 
 
-def require_word_time(t: int, name: str = "t") -> None:
-    """Refuse a time past WORD_TIME_MAX before a set of ~2^t words is built."""
+def require_word_time(t: int, name: str = "t", least: int = 2) -> None:
+    """Refuse a time below `least` or past WORD_TIME_MAX before a set of ~2^t words is built.
+
+    Three least values are in use: 2 for the letter words, the orbits and
+    the language suite, which start at t = 2; 0 for the walk, its P/Q cells
+    and the walk suite, whose time-0 cell is the empty word; 3 for the orbit
+    suite and `verify.run_all`, which need a level past t = 2.
+    """
+    if t < least:
+        raise ValueError(f"need {name} >= {least}, got {t}")
     if t > WORD_TIME_MAX:
         raise ValueError(f"{name} = {t} exceeds the word-set cap {WORD_TIME_MAX} (2^{name} words)")
 
@@ -125,12 +134,9 @@ def generate(t: int, grammar: str = "markov") -> frozenset[str]:
     """All time-t words (letter length t - 1), deduplicated.
 
     Both grammars return the same set: every path of length t - 1 in the
-    extension graph, 2^t words in total.  t is capped at
-    WORD_TIME_MAX, the symbolic walk's cap too.
+    extension graph, 2^t words in total.
     """
     rules = _images(grammar_table(grammar))
-    if t < 2:
-        raise ValueError(f"the language starts at t = 2, got t = {t}")
     require_word_time(t)
     words = set(LETTERS)
     for _ in range(t - 2):
@@ -149,8 +155,6 @@ def words_at_vertex(t: int, k: int) -> tuple[str, ...]:
     docstring), C(t, (t - k)/2) words, built with no sort and no per-word
     Python, and no word of another vertex is built.
     """
-    if t < 2:
-        raise ValueError(f"the language starts at t = 2, got t = {t}")
     require_word_time(t)
     if k not in vertices(t):
         return ()
@@ -168,6 +172,7 @@ def pq_cells(t: int, ks: Iterable[int]) -> Iterator[str]:
     caller holds the band of length t - 1 halves and one cell, never 2^t
     word objects.
     """
+    require_word_time(t, least=0)
     return _cells(t, ks, _PQ_PREFIXES, 0, {0: ("", None)})
 
 
@@ -182,10 +187,10 @@ def _cells(t: int, ks: Iterable[int], prefixes: str, length: int, level: dict) -
     """The cells S(t, (t - k)/2) of ks, each read as '+'-joined text in the
     alphabet of `prefixes`, grown from `level`, the halves of that length.
 
-    The lattice and the cap are checked and the length t - 1 band is built
-    before the first cell is returned; each cell is joined when it is read.
+    The caller has admitted t; the lattice is checked and the length t - 1
+    band is built before the first cell is returned, and each cell is
+    joined when it is read.
     """
-    require_word_time(t)
     lattice = vertices(t)
     counts = []
     for k in ks:

@@ -30,10 +30,10 @@ from typing import NamedTuple
 from .language import COASSOC_RULES, LETTER, LETTERS, SUCCESSORS, WINDOW, require_path_word
 from .language import pq_index, require_word_time, vertices
 
-# Longest pattern the CLI reads or decomposes.  `read` prints n windows of
-# n - 1 letters, about 2n^2 bytes: an aperiodic pattern at the cap prints
-# 2.1 MB in 0.17 s at 24 MiB peak RSS, against 32 MB, 1.2 s and 146 MiB at
-# 4096 letters (2 CPUs).
+# Longest pattern `Pattern` accepts, checked before anything else.  `read`
+# prints n windows of n - 1 letters, about 2n^2 bytes: an aperiodic pattern
+# at the cap prints 2.1 MB in 0.17 s at 24 MiB peak RSS, against 32 MB,
+# 1.2 s and 146 MiB at 4096 letters (2 CPUs).
 PATTERN_MAX_LETTERS = 1024
 
 _FIRST_SYMBOL = str.maketrans({x: window[0] for x, window in WINDOW.items()})
@@ -58,6 +58,9 @@ class Pattern(str):
     __slots__ = ()
 
     def __new__(cls, letters: str) -> Pattern:
+        if len(letters) > PATTERN_MAX_LETTERS:
+            n = len(letters)
+            raise ValueError(f"pattern of {n} letters exceeds the cap {PATTERN_MAX_LETTERS}")
         require_path_word(letters)
         if WINDOW[letters[-1]][1] != WINDOW[letters[0]][0]:
             raise ValueError(f"{letters!r} is an open path, not a cycle")
@@ -113,13 +116,6 @@ def grow(p: Pattern) -> list[str]:
     return [p[:i] + split + p[i + 1 :] for i, x in enumerate(p) for split in COASSOC_RULES[x]]
 
 
-def _require_orbit_time(t: int) -> None:
-    """Refuse a time below 2 or past the word-set cap before any orbit is grown."""
-    if t < 2:
-        raise ValueError(f"periodic orbits start at t = 2, got t = {t}")
-    require_word_time(t)
-
-
 def orbits_at_time(t: int, shorter: frozenset[Pattern] | None = None) -> frozenset[Pattern]:
     """All length-t patterns, grown one letter at a time.
 
@@ -128,7 +124,7 @@ def orbits_at_time(t: int, shorter: frozenset[Pattern] | None = None) -> frozens
     time-2 words.  ValueError if `shorter` holds anything but a length t - 1
     pattern.
     """
-    _require_orbit_time(t)
+    require_word_time(t)
     if shorter is None:
         pats, steps = frozenset(complete(x) for x in LETTERS), t - 2
     elif all(isinstance(p, Pattern) and len(p) == t - 1 for p in shorter):
@@ -146,7 +142,7 @@ def orbits_at_time(t: int, shorter: frozenset[Pattern] | None = None) -> frozens
 
 def orbits_at_vertex(t: int, k: int) -> frozenset[Pattern]:
     """Length-t patterns with orbit index k; off the parity lattice none is built."""
-    _require_orbit_time(t)
+    require_word_time(t)
     if k not in vertices(t):
         return frozenset()
     return frozenset(p for p in orbits_at_time(t) if orbit_index(p) == k)
@@ -155,7 +151,7 @@ def orbits_at_vertex(t: int, k: int) -> frozenset[Pattern]:
 def orbit_count_lower_bound(t: int, k: int) -> int:
     """Ceiling of binom(t, (t-k)/2) / t, in exact integer arithmetic."""
     if k not in vertices(t):
-        raise ValueError(f"vertex {k} is off the parity lattice at time {t}")
+        raise ValueError(f"vertex {k} is off the time-{t} lattice")
     return -(-math.comb(t, (t - k) // 2) // t)
 
 

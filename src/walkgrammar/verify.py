@@ -307,11 +307,12 @@ def walk_checks(max_t: int) -> list[CheckResult]:
     t + 1 means that evaluation commutes with a step: that is checked at
     every visited t < 9.
     """
+    language.require_word_time(max_t, "max_t", 0)
     coin = quantize.hadamard_coin()
     table = in_order = commutes = True
     broken = ""
     state = walk.initial_symbolic()
-    for t in range(max(4, min(max_t, language.WORD_TIME_MAX)) + 1):
+    for t in range(max(4, max_t) + 1):
         if t:
             state = walk.step_symbolic(state)
         if t <= 4:
@@ -344,8 +345,7 @@ def language_checks(max_t: int) -> list[CheckResult]:
     and the cells hold as many words as the grammar: so the grammar's words
     are exactly the words at the vertices, each at its own.
     """
-    if max_t < 2:
-        raise ValueError(f"the language starts at t = 2, got max_t = {max_t}")
+    language.require_word_time(max_t, "max_t")
     equivalent = True
     for t in range(2, min(max_t, GRAMMAR_WORDS_T_MAX) + 1):
         words = language.generate(t, "markov")
@@ -372,9 +372,7 @@ def orbit_checks(max_t: int) -> list[CheckResult]:
     the benchmark's layer tracer wraps them there and reads the last
     growth step of each `orbits_at_time` call, here its only one past t = 2.
     """
-    if max_t < 3:
-        raise ValueError("need max_t >= 3")
-    language.require_word_time(max_t, "max_t")
+    language.require_word_time(max_t, "max_t", 3)
     fundamentals = orbits.fundamental_orbits()
     growth = cover = duality = counting = embedded = on_vertex = decomposed = True
     pats = None
@@ -510,14 +508,12 @@ def quantize_checks() -> list[CheckResult]:
 
 
 def run_all(max_t: int) -> list[CheckResult]:
-    if max_t < 3:
-        raise ValueError("need max_t >= 3")
-    language.require_word_time(max_t, "max_t")
     if max_t > RUN_ALL_MAX_T:
         raise ValueError(
             f"max_t = {max_t} exceeds the verify-all cap {RUN_ALL_MAX_T} "
             "(the walk, language and orbit suites hold 2^max_t words)"
         )
+    language.require_word_time(max_t, "max_t", 3)
     results = []
     results += coalgebra_checks()
     results += lemma_checks(depth=max(1, max_t - 2))

@@ -36,9 +36,10 @@ it keeps the O(n^2) stepper below, whose tail cells keep their relative
 accuracy (at 1000 steps its largest relative error is 2e-13).
 
 States store occupied vertices contiguously, in the order of
-`vertices(n)`: the time-n lattice -n, -n + 2, ..., n.  The lattice and the
-word-set cap `require_word_time` come from `language`, which needs no
-numpy; the laws the states obey are checked in `verify`.
+`vertices(n)`: the time-n lattice -n, -n + 2, ..., n.  The lattice and
+`require_word_time`, the rule that admits a symbolic time (from step 0 up
+to the word-set cap), come from `language`, which needs no numpy; the
+laws the states obey are checked in `verify`.
 
 The numeric stepper uses that P and Q are rows of the coin: P has a zero
 second row and Q a zero first row (`CoinPair` enforces both), so for any
@@ -121,14 +122,8 @@ def step_symbolic(s: SymbolicState) -> SymbolicState:
     return SymbolicState(n + 1, tuple(cells))
 
 
-def _require_symbolic_steps(steps: int) -> None:
-    if steps < 0:
-        raise ValueError("steps must be >= 0")
-    require_word_time(steps, "steps")
-
-
 def run_symbolic(steps: int) -> SymbolicState:
-    _require_symbolic_steps(steps)
+    require_word_time(steps, "steps", 0)
     s = initial_symbolic()
     for _ in range(steps):
         s = step_symbolic(s)
@@ -138,7 +133,7 @@ def run_symbolic(steps: int) -> SymbolicState:
 def symbolic_cells(steps: int) -> Iterator[str]:
     """The cells of run_symbolic(steps) in the order of `vertices(steps)`, each
     one '+'-joined text, built one cell at a time from the fixed-count words."""
-    _require_symbolic_steps(steps)
+    require_word_time(steps, "steps", 0)
     return pq_cells(steps, vertices(steps))
 
 
@@ -170,7 +165,7 @@ def _advance(src: np.ndarray, dst: np.ndarray, tmp: np.ndarray, coin: CoinPair) 
 
 def _require_numeric_steps(steps: int) -> None:
     if steps < 0:
-        raise ValueError("steps must be >= 0")
+        raise ValueError(f"need steps >= 0, got {steps}")
     if steps > NUMERIC_MAX_STEPS:
         raise ValueError(f"numeric walk capped at {NUMERIC_MAX_STEPS} steps, got {steps}")
 

@@ -117,6 +117,14 @@ def test_walk_run_refuses_a_bad_spinor_before_it_steps(capsys, monkeypatch):
     assert err == "error: initial spinor must have unit norm\n"
 
 
+@pytest.mark.parametrize("command", ["run", "plot"])
+@pytest.mark.parametrize("psi", ["1,0,x,0", "1,0,0,0j", "1,,0,0"])
+def test_a_psi_entry_that_is_not_a_number_is_refused_with_the_options_line(capsys, command, psi):
+    assert run_cli(capsys, "walk", command, "--steps", "2", "--psi", psi) == (
+        1, "", "error: --psi expects four comma-separated numbers: re,im,re,im\n"
+    )
+
+
 def test_walk_plot_at_the_step_cap_fits_in_a_gibibyte():
     # The stepper took minutes here; the FFT engine takes well under a second.
     done = run_python(*CLI, "walk", "plot", "--steps", "100000", timeout=30, memory_cap=True)
@@ -205,7 +213,7 @@ def test_orbits_enumerate_off_the_lattice_grows_no_orbit(capsys, monkeypatch):
         0, "pattern,index,root,multiplicity\n", ""
     )
     # The time checks still come first, with the messages of the whole-time path.
-    for t, message in (("1", "periodic orbits start at t = 2"), ("25", "word-set cap 24")):
+    for t, message in (("1", "need t >= 2, got 1"), ("25", "word-set cap 24")):
         code, out, err = run_cli(capsys, "orbits", "enumerate", "--t", t, "--vertex", "1")
         assert_one_line_error(code, out, err)
         assert message in err
@@ -406,6 +414,38 @@ def assert_one_line_error(code, out, err):
     assert "Traceback" not in err
 
 
+# One case per command and option, each below its least value; the value is argv[3].
+BELOW_LEAST = [
+    (("walk", "run", "--steps", "-1"), "steps", 0),
+    (("walk", "run", "--steps", "-1", "--symbolic"), "steps", 0),
+    (("walk", "plot", "--steps", "-1"), "steps", 0),
+    (("lang", "generate", "--t", "1"), "t", 2),
+    (("lang", "generate", "--t", "1", "--vertex", "1"), "t", 2),
+    (("orbits", "enumerate", "--t", "1"), "t", 2),
+    (("orbits", "enumerate", "--t", "1", "--vertex", "1"), "t", 2),
+    (("orbits", "verify", "--max-t", "2"), "max_t", 3),
+    (("verify", "all", "--max-t", "2"), "max_t", 3),
+    (("graph", "export", "--bernoulli", "1"), "n", 2),
+    (("graph", "export", "--de-bruijn", "1"), "p", 2),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, name, least", BELOW_LEAST, ids=[" ".join(argv) for argv, _, _ in BELOW_LEAST]
+)
+def test_a_value_below_its_least_is_refused_with_one_wording(capsys, argv, name, least):
+    assert run_cli(capsys, *argv) == (1, "", f"error: need {name} >= {least}, got {argv[3]}\n")
+
+
+@pytest.mark.parametrize("max_t", ["21", "24", "25", "1000000"])
+def test_verify_all_refuses_every_max_t_past_its_cap_with_its_own_line(capsys, max_t):
+    line = (
+        f"error: max_t = {max_t} exceeds the verify-all cap 20 "
+        "(the walk, language and orbit suites hold 2^max_t words)\n"
+    )
+    assert run_cli(capsys, "verify", "all", "--max-t", max_t) == (1, "", line)
+
+
 @pytest.mark.parametrize(
     "extra",
     [
@@ -519,7 +559,9 @@ def test_walk_steps_beyond_the_cap_fail_fast(command):
 def test_word_set_sizes_beyond_the_cap_fail_fast(argv):
     done = run_python(*CLI, *argv, timeout=60, memory_cap=True)
     assert_one_line_error(done.returncode, done.stdout, done.stderr)
-    assert "exceeds the word-set cap 24" in done.stderr
+    # `verify all` states its own, lower cap, and only that one.
+    cap = "verify-all cap 20" if argv[:2] == ["verify", "all"] else "word-set cap 24"
+    assert f"exceeds the {cap}" in done.stderr
 
 
 def test_verify_all_past_its_cap_is_refused_before_any_suite():

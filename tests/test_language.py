@@ -414,5 +414,5 @@ def test_language_suite_compares_word_sets_to_t_eight(monkeypatch):
 def test_language_suite_below_time_two_is_refused_before_any_level(monkeypatch, max_t):
     monkeypatch.setattr(language, "generate", None)
     monkeypatch.setattr(walk, "run_symbolic", None)
-    with pytest.raises(ValueError, match=f"the language starts at t = 2, got max_t = {max_t}"):
+    with pytest.raises(ValueError, match=f"need max_t >= 2, got {max_t}"):
         verify.language_checks(max_t)

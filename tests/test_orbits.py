@@ -79,6 +79,16 @@ def test_pattern_constructor_requires_canonical_form():
     assert Pattern("bca") == "abc"
 
 
+def test_pattern_refuses_a_length_past_the_cap_before_any_other_check():
+    cap = orbits.PATTERN_MAX_LETTERS
+    assert Pattern("a" * cap) == "a" * cap
+    # Past the cap the length is refused first, whatever the letters are.
+    for letters in ("a" * (cap + 1), "x" * (cap + 1), "ab" * cap):
+        with pytest.raises(ValueError) as refused:
+            Pattern(letters)
+        assert str(refused.value) == f"pattern of {len(letters)} letters exceeds the cap {cap}"
+
+
 def test_orbit_index_examples():
     assert orbit_index(Pattern("a")) == -1
     assert orbit_index(Pattern("abc")) == -1
@@ -350,7 +360,8 @@ def test_orbit_sets_past_the_cap_are_refused_before_growth():
         orbits_at_time(cap + 1)
     with pytest.raises(ValueError, match="word-set cap"):
         verify.orbit_checks(cap + 1)
-    with pytest.raises(ValueError, match="word-set cap"):
+    # `run_all` refuses past its own, lower cap first.
+    with pytest.raises(ValueError, match="verify-all cap"):
         verify.run_all(cap + 1)
 
 

@@ -31,6 +31,10 @@ Records are named tuples, and a validated record checks its fields in
 A law is reported as a `verify` check's result, never as an exception:
 no module raises or catches `AssertionError`.  Every name a module imports is used in
 that module; a name a test reads is read from the module that defines it.
+
+Only `language` reads the word-set cap WORD_TIME_MAX: its
+`require_word_time` is the one rule that admits a word-set time, and no
+other module bounds, clamps or restates that time on its own.
 """
 
 import ast
@@ -459,3 +463,44 @@ def test_an_unused_import_is_found(tmp_path):
         encoding="utf-8",
     )
     assert unused_imports([tmp_path / "m.py"]) == ["m.py:2: os", "m.py:4: hypot"]
+
+
+def foreign_reads(paths, name: str, home: str) -> list[str]:
+    """Every mention of `name` outside the module `home`: as a name, an attribute or an import."""
+    found = []
+    for path in paths:
+        if path.name == home:
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (
+                isinstance(node, ast.Name) and node.id == name
+                or isinstance(node, ast.Attribute) and node.attr == name
+                or isinstance(node, ast.alias) and node.name == name
+            ):
+                found.append(f"{path.name}:{node.lineno}")
+    return found
+
+
+def test_only_language_reads_the_word_set_cap():
+    offenders = foreign_reads(MODULES, "WORD_TIME_MAX", "language.py")
+    assert not offenders, f"WORD_TIME_MAX read outside language.require_word_time: {offenders}"
+
+
+def test_a_read_of_a_name_outside_its_home_is_found(tmp_path):
+    (tmp_path / "language.py").write_text(
+        "WORD_TIME_MAX = 24\n"
+        "def require(t):\n"
+        "    return t <= WORD_TIME_MAX\n",
+        encoding="utf-8",
+    )
+    (tmp_path / "m.py").write_text(
+        "from . import language\n"
+        "from .language import WORD_TIME_MAX as CAP\n"
+        "def f(t):\n"
+        "    return min(t, language.WORD_TIME_MAX)\n"
+        "def g(t):\n"
+        "    return 'WORD_TIME_MAX', language.require(t)\n",
+        encoding="utf-8",
+    )
+    paths = [tmp_path / "language.py", tmp_path / "m.py"]
+    assert foreign_reads(paths, "WORD_TIME_MAX", "language.py") == ["m.py:2", "m.py:4"]

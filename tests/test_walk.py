@@ -91,7 +91,7 @@ def test_streamed_cells_are_the_symbolic_walk_in_order(n):
 
 
 def test_streamed_cells_check_steps_before_building():
-    with pytest.raises(ValueError, match="steps must be >= 0"):
+    with pytest.raises(ValueError, match="need steps >= 0, got -1"):
         streamed_cells(-1)
     with pytest.raises(ValueError, match="steps = 25 exceeds the word-set cap"):
         streamed_cells(25)
@@ -434,6 +434,14 @@ def test_walk_suite_steps_the_symbolic_walk_once(monkeypatch):
     assert all(verify.walk_checks(6))
     # t = 1..6 once each: the commutation check compares each state with run_numeric.
     assert steps == [0, 1, 2, 3, 4, 5]
+
+
+def test_walk_suite_refuses_a_time_past_the_cap_rather_than_clamping_it(monkeypatch):
+    monkeypatch.setattr(walk, "step_symbolic", None)
+    with pytest.raises(ValueError, match="max_t = 25 exceeds the word-set cap 24"):
+        verify.walk_checks(language.WORD_TIME_MAX + 1)
+    with pytest.raises(ValueError, match="need max_t >= 0, got -1"):
+        verify.walk_checks(-1)
 
 
 TABLE = "symbolic walk reproduces the t<=4 table"
