@@ -18,12 +18,19 @@ sorted order (`walk.symbolic_cells`): the cells of the symbolic walk, which
 rows, in CSV and JSON alike, are written one cell at a time, so the walk's
 2^n words are never held at once.
 
+JSON tables come from `json`'s pure-Python encoder, since `indent` rules
+out the C one, and they cost three to four times the CSV for the same rows
+(10 ms against 3.3 ms of row text for the 2001 rows of `walk run --steps
+2000`, best of 10 on 2 CPUs).
+
 `lang generate --vertex k` prints its words sorted with no sort: contraction
 preserves order, so `language.words_at_vertex` gives the letter words in
 the order of the P/Q cell that `language.pq_cells` gives, and row i pairs
-word i with contraction i.  The rows are written one at a time, so no row
-object outlives its line.  `lang generate` without `--vertex` and `orbits
-read` sort their words first and then make each row as it is written, too.
+word i with contraction i.  Each row is made as it is written, but the
+cell's words and their contractions are held whole, as a tuple and a list:
+at t = 24 the two hold 2.7 M strings each, about 390 MB of the 536 MiB
+peak RSS.  `lang generate` without `--vertex` and `orbits read` sort their
+words first and then make each row as it is written, too.
 
 `walk plot` draws the same distribution from one FFT of the walk's transfer
 matrix (`walk.fourier_distribution`), in O(n log n) time where the stepper
@@ -56,7 +63,6 @@ import itertools
 import json
 import os
 import sys
-from collections import Counter
 from typing import Iterable, Iterator
 
 from . import coalgebra, graphs, language, orbits
@@ -143,10 +149,14 @@ def _emit_table(columns: list[str], rows: Iterable[dict], args, payload=None) ->
 
     Rows that come from an iterator, in `rows` or as a value of `payload`,
     are formatted as they are written: CSV a row at a time, JSON a batch of
-    rows at a time.
+    JSON_BATCH_TOKENS encoder tokens at a time.
     """
     if args.format == "json":
-        chunks = itertools.chain(_json_chunks(rows if payload is None else payload), ["\n"])
+        tokens = json.JSONEncoder(indent=2, default=_Rows).iterencode(
+            rows if payload is None else payload
+        )
+        batches = iter(lambda: tuple(itertools.islice(tokens, JSON_BATCH_TOKENS)), ())
+        chunks = itertools.chain(map("".join, batches), ["\n"])
     else:
         # "{word},{index},{contraction}\n": format() of a value with no spec is its str().
         line = ",".join(f"{{{c}}}" for c in columns) + "\n"
@@ -154,49 +164,33 @@ def _emit_table(columns: list[str], rows: Iterable[dict], args, payload=None) ->
     _emit(chunks, args)
 
 
-def _json_chunks(value, pad: str = "") -> Iterator[str]:
-    """json.dumps(value, indent=2) in pieces, for a value nested at indent `pad`.
+# One write per token more than doubles the JSON time of `walk run --symbolic
+# --steps 18` (0.27 s against 0.12 s); 256 to 4096 tokens a write all take 0.12 s.
+JSON_BATCH_TOKENS = 4096
 
-    A dict is written key by key and an iterator of rows batch by batch
-    (`_row_batches`), each batch one json.dumps of a list with its brackets
-    cut off; anything else is one json.dumps.
+
+class _Rows(list):
+    """A row iterator as the list that `json`'s pure-Python encoder streams.
+
+    `_emit_table` passes the class as the encoder's `default` hook, so the
+    encoder makes one of each iterator it meets; anything else is refused
+    with the TypeError `json` raises.  The encoder tests a list for
+    emptiness and then iterates it: the list holds the iterator's first row,
+    so an empty iterator prints `[]`, and `__iter__` yields that row and
+    then streams the rest.  `iterencode` with an indent never takes the C
+    encoder, which would read only the stored row: that path needs
+    `_one_shot` and no indent.
     """
-    inner = pad + "  "
-    if isinstance(value, dict):
-        opener = "{\n"
-        for key, item in value.items():
-            yield f"{opener}{inner}{json.dumps(key)}: "
-            yield from _json_chunks(item, inner)
-            opener = ",\n"
-        yield "{}" if opener == "{\n" else f"\n{pad}}}"
-    elif isinstance(value, Iterator):
-        opener = "[\n"
-        for batch in _row_batches(value):
-            yield opener + pad + json.dumps(batch, indent=2)[2:-2].replace("\n", "\n" + pad)
-            opener = ",\n"
-        yield "[]" if opener == "[\n" else f"\n{pad}]"
-    else:
-        yield json.dumps(value, indent=2).replace("\n", "\n" + pad)
 
+    def __init__(self, rows):
+        if not isinstance(rows, Iterator):
+            raise TypeError(f"Object of type {type(rows).__name__} is not JSON serializable")
+        super().__init__(itertools.islice(rows, 1))
+        self._rest = rows
 
-# A json.dumps call costs microseconds before it encodes anything: one call per
-# row takes twice as long as one call for all 2001 rows of `walk run --steps 2000`.
-JSON_BATCH_VALUES = 4096
-
-
-def _row_batches(rows: Iterator[dict]) -> Iterator[list[dict]]:
-    """Consecutive rows in lists of about JSON_BATCH_VALUES values, a row
-    counting 1 plus the length of each of its list values: small rows share a
-    batch, and a row as large as the budget ends its batch."""
-    batch, size = [], 0
-    for row in rows:
-        batch.append(row)
-        size += 1 + sum(len(v) for v in row.values() if isinstance(v, list))
-        if size >= JSON_BATCH_VALUES:
-            yield batch
-            batch, size = [], 0
-    if batch:
-        yield batch
+    def __iter__(self):
+        yield from super().__iter__()
+        yield from self._rest
 
 
 PROBABILITY_DIGITS = 15
@@ -328,12 +322,7 @@ def cmd_orbits_decompose(args) -> int:
     pattern = orbits.Pattern(args.pattern)
     dec = orbits.decompose(pattern)
     pieces = dec.fundamentals()
-    payload = {
-        "pattern": pattern,
-        "pieces": pieces,
-        "letters_conserved": Counter("".join(pieces)) == Counter(pattern),
-        "reglue_ok": dec.reglue() == pattern,
-    }
+    payload = {"pattern": pattern, "pieces": pieces, **dec.laws(pattern)}
     _emit_table(["piece"], [{"piece": p} for p in pieces], args, payload)
     return 0
 

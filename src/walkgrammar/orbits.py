@@ -193,6 +193,13 @@ class Decomposition(NamedTuple):
             walk[idx:idx] = cycle
         return Pattern("".join(walk))
 
+    def laws(self, p: Pattern) -> dict[str, bool]:
+        """Whether the pieces hold p's letters, and whether regluing gives p."""
+        return {
+            "letters_conserved": sorted("".join(self.fundamentals())) == sorted(p),
+            "reglue_ok": self.reglue() == p,
+        }
+
 
 def decompose(p: Pattern) -> Decomposition:
     """Peel a pattern into simple cycles by stacking its vertex visits.

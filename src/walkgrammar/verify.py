@@ -398,12 +398,7 @@ def orbit_checks(max_t: int) -> list[CheckResult]:
             on_vertex &= {n.bit_count() for n in orbit} == {(t + k) // 2}
             if t <= 12:
                 dec = orbits.decompose(p)
-                pieces = dec.fundamentals()
-                decomposed &= (
-                    set(pieces) <= fundamentals
-                    and Counter("".join(pieces)) == Counter(p)
-                    and dec.reglue() == p
-                )
+                decomposed &= set(dec.fundamentals()) <= fundamentals and all(dec.laws(p).values())
         cover &= read_union == language.generate(t)
         counting &= all(
             counts[k] >= orbits.orbit_count_lower_bound(t, k) for k in language.vertices(t)

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from walkgrammar import coalgebra, graphs, language, orbits, quantize, walk
-from walkgrammar.cli import JSON_BATCH_VALUES, main
+from walkgrammar.cli import JSON_BATCH_TOKENS, _Rows, main
 
 from helpers import CLI, PAIRS, run_python, spinor_walk_distribution
 import numpy as np
@@ -25,6 +25,11 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def json_tokens(rows) -> int:
+    """Tokens `json`'s encoder makes of `rows` at indent 2, the stream the CLI writes in batches."""
+    return sum(1 for _ in json.JSONEncoder(indent=2).iterencode(rows))
 
 
 def test_walk_run_hadamard_two_steps(capsys):
@@ -159,26 +164,35 @@ def test_lang_generate_json_round_trip(capsys):
 
 
 def test_lang_generate_json_is_the_definitional_rows(capsys):
-    # 8192 rows, more than one batch of JSON_BATCH_VALUES.
+    # 8192 rows, whose tokens fill more than one batch of JSON_BATCH_TOKENS.
     code, out, _ = run_cli(capsys, "lang", "generate", "--t", "13", "--format", "json")
     assert code == 0
     rows = [
         {"word": w, "index": language.word_index(w), "contraction": language.contract(w)}
         for w in sorted(language.generate(13))
     ]
-    assert len(rows) > JSON_BATCH_VALUES
+    assert json_tokens(rows) > JSON_BATCH_TOKENS
     assert out == json.dumps(rows, indent=2) + "\n"
 
 
 def test_lang_generate_vertex_json_is_the_definitional_rows(capsys):
-    # 6435 rows, more than one batch of JSON_BATCH_VALUES.
+    # 6435 rows, whose tokens fill more than one batch of JSON_BATCH_TOKENS.
     argv = ("lang", "generate", "--t", "15", "--vertex", "1", "--format", "json")
     code, out, _ = run_cli(capsys, *argv)
     assert code == 0
     words = sorted(w for w in language.generate(15) if language.word_index(w) == 1)
     rows = [{"word": w, "index": 1, "contraction": language.contract(w)} for w in words]
-    assert len(rows) > JSON_BATCH_VALUES
+    assert json_tokens(rows) > JSON_BATCH_TOKENS
     assert out == json.dumps(rows, indent=2) + "\n"
+
+
+def test_the_json_writer_refuses_what_json_refuses():
+    with pytest.raises(TypeError) as refused:
+        json.dumps({"cells": {1}})
+    with pytest.raises(TypeError, match=f"^{refused.value}$"):
+        "".join(json.JSONEncoder(indent=2, default=_Rows).iterencode({"cells": {1}}))
+    encoded = json.JSONEncoder(indent=2, default=_Rows).iterencode({"cells": iter(())})
+    assert "".join(encoded) == json.dumps({"cells": []}, indent=2)
 
 
 def test_orbits_enumerate_t3(capsys):
@@ -192,7 +206,7 @@ def test_orbits_enumerate_t3(capsys):
 
 
 def test_orbits_enumerate_json_is_the_definitional_rows(capsys):
-    # 7712 rows, more than one batch of JSON_BATCH_VALUES.
+    # 7712 rows, whose tokens fill more than one batch of JSON_BATCH_TOKENS.
     code, out, _ = run_cli(capsys, "orbits", "enumerate", "--t", "17", "--format", "json")
     assert code == 0
     rows = []
@@ -200,7 +214,7 @@ def test_orbits_enumerate_json_is_the_definitional_rows(capsys):
         d = min(d for d in range(1, 18) if s[:d] * (17 // d) == s)
         index = sum(1 if PAIRS[x][0] == "Q" else -1 for x in s)
         rows.append({"pattern": s, "index": index, "root": s[:d], "multiplicity": 17 // d})
-    assert len(rows) > JSON_BATCH_VALUES
+    assert json_tokens(rows) > JSON_BATCH_TOKENS
     assert out == json.dumps(rows, indent=2) + "\n"
 
 
@@ -624,10 +638,12 @@ def test_lang_generate_at_the_word_cap_fits_in_a_gibibyte(tmp_path):
     target.unlink()
 
 
-def test_symbolic_walk_streams_its_rows(tmp_path):
+@pytest.mark.parametrize("fmt, bound_mib", [("csv", 8), ("json", 16)])
+def test_symbolic_walk_streams_its_rows(tmp_path, fmt, bound_mib):
     # The whole walk at 18 steps is 2^18 words; one cell of it is under 1 MiB of text.
-    target = str(tmp_path / "walk.csv")
-    out = ["--out", target, "--quiet"]
+    # Held at once as str objects the words take about 19 MiB, past either bound.
+    target = str(tmp_path / f"walk.{fmt}")
+    out = ["--format", fmt, "--out", target, "--quiet"]
     # numpy and the walk modules load untraced.
     assert main(["walk", "run", "--symbolic", "--steps", "2", *out]) == 0
     tracemalloc.start()
@@ -637,9 +653,13 @@ def test_symbolic_walk_streams_its_rows(tmp_path):
     finally:
         tracemalloc.stop()
     assert code == 0
-    assert peak < 8 * 2**20
+    assert peak < bound_mib * 2**20
     with open(target, encoding="utf-8") as fh:
-        assert sum(row.count("+") + 1 for row in list(fh)[1:]) == 2**18
+        if fmt == "csv":
+            words = sum(row.count("+") + 1 for row in list(fh)[1:])
+        else:
+            words = sum(len(cell["words"]) for cell in json.load(fh)["cells"])
+    assert words == 2**18
 
 
 def test_off_lattice_vertex_past_the_cap_is_a_domain_error(capsys):

@@ -82,13 +82,15 @@ def test_cli_error_lines_match_the_golden_corpus(name):
     assert (code, err) == (1, expected.replace("{inputs}", str(INPUTS)))
 
 
-# Commands whose output passes through sets, checks or errors, and numeric
-# ones, which an in-process run makes with the BLAS this process loaded.
+# Commands whose output passes through sets, checks or errors, numeric ones,
+# which an in-process run makes with the BLAS this process loaded, and a JSON
+# table, whose streamed rows then also run under -O and two hash seeds.
 SUBPROCESS_CASES = [
     "walk-run-custom-n2000",
     "walk-plot-n2000",
     "coin-custom",
     "walk-run-symbolic-custom",
+    "walk-run-symbolic-json-n8",
     "lang-t7-k-3-coassoc",
     "orbits-enum-t8",
     "orbits-enum-t12",

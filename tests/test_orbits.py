@@ -392,6 +392,29 @@ def test_decompose_random_length_ten_orbits():
         assert dec.reglue() == p
 
 
+def test_decomposition_laws_tell_the_letters_from_their_order():
+    # abcabc and aabcbc hold the same letters in another cyclic order.
+    dec = decompose(Pattern("abcabc"))
+    assert dec.laws(Pattern("abcabc")) == {"letters_conserved": True, "reglue_ok": True}
+    assert dec.laws(Pattern("aabcbc")) == {"letters_conserved": True, "reglue_ok": False}
+    assert decompose(Pattern("abc")).laws(Pattern("abdc")) == {
+        "letters_conserved": False,
+        "reglue_ok": False,
+    }
+
+
+def test_orbit_checks_catch_a_decomposition_that_drops_a_letter(monkeypatch):
+    true_decompose = orbits.decompose
+
+    def dropped(p):
+        # abc is a fundamental orbit, so only the decomposition laws see the lost d.
+        return true_decompose(Pattern("abc") if p == "abdc" else p)
+
+    monkeypatch.setattr(orbits, "decompose", dropped)
+    results = {r.name: r.ok for r in verify.orbit_checks(6)}
+    assert results["decomposition into fundamentals with exact regluing"] is False
+
+
 def test_primitive_root():
     assert primitive_root(Pattern("aa")) == (Pattern("a"), 2)
     assert primitive_root(Pattern("bcbc")) == (Pattern("bc"), 2)
