@@ -63,8 +63,6 @@ def de_bruijn_graph(p: int) -> DirectedGraph:
 
 def extension(g: DirectedGraph) -> DirectedGraph:
     """Line graph: one vertex u|v per edge, joined where head meets tail."""
-    if not g.vertices:
-        raise ValueError("cannot extend an empty graph")
     names = {edge: f"{edge[0]}{EXT_SEP}{edge[1]}" for edge in g.edges}
     new_edges = [
         (names[(u, v)], names[(x, y)])
@@ -123,12 +121,8 @@ class StochMatrix(namedtuple("StochMatrix", "rows")):
         return all(sum(self.rows[i][j] for i in range(m)) == 1 for j in range(m))
 
     def to_csv(self) -> str:
-        lines = [",".join(_fraction_str(x) for x in row) for row in self.rows]
+        lines = [",".join(map(str, row)) for row in self.rows]
         return "\n".join(lines) + "\n"
-
-
-def _fraction_str(x: Fraction) -> str:
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
 def bernoulli_matrix(n: int) -> StochMatrix:

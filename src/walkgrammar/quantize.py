@@ -23,20 +23,6 @@ from . import graphs
 MATRIX_TOL = 1e-12
 
 
-def assert_unitary(u: np.ndarray) -> np.ndarray:
-    u = np.asarray(u, dtype=complex)
-    if u.ndim != 2 or u.shape[0] != u.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {u.shape}")
-    if not np.all(np.isfinite(u)):
-        raise ValueError("matrix is not unitary (non-finite entry)")
-    # Huge finite entries overflow to inf and NaN; the tolerance refuses both.
-    with np.errstate(all="ignore"):
-        defect = np.max(np.abs(u @ u.conj().T - np.eye(u.shape[0])))
-    if not defect <= MATRIX_TOL:
-        raise ValueError(f"matrix is not unitary (defect {defect:.3e})")
-    return u
-
-
 def hadamard() -> np.ndarray:
     return np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 
@@ -68,8 +54,9 @@ def random_unitary(n: int, rng: random.Random) -> np.ndarray:
 
 
 class CoinPair(namedtuple("CoinPair", "P Q")):
-    """Row split of a 2x2 unitary: P is row one, Q is row two, each a read-only complex
-    (2, 2) np.ndarray."""
+    """P, row one, and Q, row two, of any 2x2 matrix, each a read-only complex (2, 2)
+    np.ndarray: the split of the stochastic B steps the classical walk.  `from_unitary`
+    is the one door that checks a coin is unitary."""
 
     __slots__ = ()
 
@@ -90,7 +77,15 @@ class CoinPair(namedtuple("CoinPair", "P Q")):
         # split keeps row h of U bit for bit and zeroes the other as +0.
         if np.shape(u) != (2, 2):
             raise ValueError("coin unitaries are 2x2")
-        return cls(*graphs.row_split(assert_unitary(u)))
+        u = np.asarray(u, dtype=complex)
+        if not np.all(np.isfinite(u)):
+            raise ValueError("matrix is not unitary (non-finite entry)")
+        # Huge finite entries overflow to inf and NaN; the tolerance refuses both.
+        with np.errstate(all="ignore"):
+            defect = np.max(np.abs(u @ u.conj().T - np.eye(2)))
+        if not defect <= MATRIX_TOL:
+            raise ValueError(f"matrix is not unitary (defect {defect:.3e})")
+        return cls(*graphs.row_split(u))
 
 
 def hadamard_coin() -> CoinPair:

@@ -26,8 +26,8 @@ WITNESS_TOL = 1e-12
 # suites' last levels.
 RUN_ALL_MAX_T = 20
 # Two automata with 8 states in all that agree to depth 7 agree at every depth
-# (`rightmost_equivalence`).  So the corollary is enumerated to depth 7 and the
-# grammars' word sets compared to t = 8, as tests of `iterate_rightmost` and
+# (`rightmost_equivalence`).  So the corollary is enumerated to depth 7 at every
+# max_t, and the word sets compared to t = 8, as tests of `iterate_rightmost` and
 # `generate`; the automaton check states both identities at every depth.
 COROLLARY_DEPTH_MAX = 7
 GRAMMAR_WORDS_T_MAX = 8
@@ -198,7 +198,7 @@ def rightmost_equivalence(
     return agree, len(basis)
 
 
-def lemma_checks(depth: int) -> list[CheckResult]:
+def lemma_checks() -> list[CheckResult]:
     """The grammar lemmas, computed as exact identities of the two grammar tables.
 
     Sums: the coproducts agree on a+b and on c+d.  Contraction: C(xy)s =
@@ -206,8 +206,8 @@ def lemma_checks(depth: int) -> list[CheckResult]:
     contraction of x's Markov image.  Mixed coassociativity, letter by
     letter.  Corollary: the rightmost iterates on a+b+c+d agree at every
     depth, decided by `rightmost_equivalence`; enumerated, the depth-n
-    iterates are the same 2^(n+2) words of coefficient 1 for n up to
-    min(depth, COROLLARY_DEPTH_MAX).
+    iterates are the same 2^(n+2) words of coefficient 1 for every n up to
+    the fixed depth COROLLARY_DEPTH_MAX, whatever max_t `run_all` is given.
     """
     dm = language.grammar_table("markov")
     dc = language.grammar_table("coassoc")
@@ -231,7 +231,7 @@ def lemma_checks(depth: int) -> list[CheckResult]:
     every_depth, dimension = rightmost_equivalence(dm, dc, seed)
     corollary = True
     left = right = seed
-    for n in range(1, min(depth, COROLLARY_DEPTH_MAX) + 1):
+    for n in range(1, COROLLARY_DEPTH_MAX + 1):
         left = coalgebra.iterate_rightmost(dm, left, 1)
         right = coalgebra.iterate_rightmost(dc, right, 1)
         if left != right or len(left) != 2 ** (n + 2) or any(c != 1 for _, c in left):
@@ -511,7 +511,7 @@ def run_all(max_t: int) -> list[CheckResult]:
     language.require_word_time(max_t, "max_t", 3)
     results = []
     results += coalgebra_checks()
-    results += lemma_checks(depth=max(1, max_t - 2))
+    results += lemma_checks()
     results += walk_checks(max_t)
     results += language_checks(max_t)
     results += orbit_checks(max_t)

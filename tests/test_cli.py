@@ -341,15 +341,21 @@ def test_coin_check_from_file(capsys, tmp_path):
 )
 def test_coin_check_validates_and_splits_its_coin_once(capsys, monkeypatch, coin_options):
     calls = {}
-    for module, name in ((quantize, "assert_unitary"), (graphs, "row_split")):
-        def counted(u, name=name, check=getattr(module, name)):
-            calls[name] = calls.get(name, 0) + 1
-            return check(u)
+    from_unitary = quantize.CoinPair.from_unitary.__func__
 
-        monkeypatch.setattr(module, name, counted)
+    def counted_from_unitary(cls, u):
+        calls["from_unitary"] = calls.get("from_unitary", 0) + 1
+        return from_unitary(cls, u)
+
+    def counted_row_split(u, split=graphs.row_split):
+        calls["row_split"] = calls.get("row_split", 0) + 1
+        return split(u)
+
+    monkeypatch.setattr(quantize.CoinPair, "from_unitary", classmethod(counted_from_unitary))
+    monkeypatch.setattr(graphs, "row_split", counted_row_split)
     code, _, _ = run_cli(capsys, "coin", "check", *coin_options)
     assert code == 0
-    assert calls == {"assert_unitary": 1, "row_split": 1}
+    assert calls == {"from_unitary": 1, "row_split": 1}
 
 
 def test_verify_all(capsys):

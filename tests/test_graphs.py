@@ -67,6 +67,8 @@ def test_extension_graph_is_the_extension_coproduct(p):
 
 
 def test_extension_fixed_points():
+    # The empty graph has no edges, so its line graph is empty too.
+    assert extension(DirectedGraph((), ())) == DirectedGraph((), ())
     loop = DirectedGraph(["v"], [("v", "v")])
     ext = extension(loop)
     assert len(ext.vertices) == 1 and len(ext.edges) == 1

@@ -200,13 +200,13 @@ LEMMA_NAMES = [
 ]
 
 
-def lemma_holds(name, depth=1):
-    (result,) = [c for c in verify.lemma_checks(depth) if c.name == f"lemma: {name}"]
+def lemma_holds(name):
+    (result,) = [c for c in verify.lemma_checks() if c.name == f"lemma: {name}"]
     return result.ok
 
 
 def test_lemma_checks_are_the_grammar_lemmas_in_order():
-    results = verify.lemma_checks(3)
+    results = verify.lemma_checks()
     assert [c.name for c in results] == [f"lemma: {name}" for name in LEMMA_NAMES]
     assert all(results)
 
@@ -234,7 +234,7 @@ def test_mixed_coassociativity():
 
 
 def test_corollary_equality():
-    assert lemma_holds("corollary-equality", depth=10)
+    assert lemma_holds("corollary-equality")
 
 
 def test_the_corollary_is_enumerated_to_depth_seven(monkeypatch):
@@ -247,12 +247,13 @@ def test_the_corollary_is_enumerated_to_depth_seven(monkeypatch):
         return out
 
     monkeypatch.setattr(coalgebra, "iterate_rightmost", recording)
-    assert lemma_holds("corollary-equality", depth=10)
+    # The depth is fixed: the smallest max_t that `verify all` takes enumerates it too.
+    assert all(verify.run_all(3))
     assert depths == [n for n in range(1, verify.COROLLARY_DEPTH_MAX + 1) for _ in range(2)]
 
 
 def test_the_grammars_agree_at_every_depth_with_reachable_dimension_two():
-    (result,) = [c for c in verify.lemma_checks(1) if c.name == f"lemma: {LEMMA_NAMES[-1]}"]
+    (result,) = [c for c in verify.lemma_checks() if c.name == f"lemma: {LEMMA_NAMES[-1]}"]
     assert result.ok and result.detail == "reachable dimension 2"
 
 
@@ -362,9 +363,9 @@ def _fault_corollary(monkeypatch):
     ),
 )
 def test_each_lemma_check_fails_under_its_fault(monkeypatch, name, fault):
-    assert lemma_holds(name, depth=3)
+    assert lemma_holds(name)
     fault(monkeypatch)
-    assert not lemma_holds(name, depth=3)
+    assert not lemma_holds(name)
 
 
 def test_verify_ties_the_grammar_to_the_walk_cells(monkeypatch):

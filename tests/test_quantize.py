@@ -3,7 +3,6 @@ import random
 import numpy as np
 import pytest
 
-from walkgrammar import quantize
 from walkgrammar.graphs import bernoulli_matrix, row_split
 from walkgrammar.quantize import (
     CoinPair,
@@ -141,7 +140,7 @@ def test_coin_from_angles_covers_hadamard():
     rng = np.random.default_rng(2)
     for _ in range(20):
         theta, phi1, phi2 = rng.uniform(0, 2 * np.pi, size=3)
-        quantize.assert_unitary(coin_from_angles(theta, phi1, phi2))
+        CoinPair.from_unitary(coin_from_angles(theta, phi1, phi2))
 
 
 def test_row_amplitudes_match_induced_bistochastic_row():
@@ -184,6 +183,6 @@ def test_coin_from_json_rejects_wrong_shapes(blob):
 
 def test_nan_is_not_unitary():
     with pytest.raises(ValueError, match="not unitary"):
-        quantize.assert_unitary(np.array([[np.nan, 0], [0, 1]]))
+        CoinPair.from_unitary(np.array([[np.nan, 0], [0, 1]]))
     with pytest.raises(ValueError, match="finite"):
         coin_from_angles(np.nan, 0.0, 0.0)

@@ -1,5 +1,7 @@
 """The validated records are immutable: no field can be set, and no array they hold can be written."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -34,3 +36,18 @@ def test_a_record_copies_the_complex_array_it_is_given():
     assert p.flags.writeable and amps.flags.writeable
     p[0, 0] = amps[0, 0, 0] = 7
     assert coin.P[0, 0] == 1 and state.amps[0, 0, 0] == 0
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: quantize.CoinPair(np.eye(3), [[0, 0], [0, 1]]), "P must be 2x2"),
+        (lambda: walk.NumericState(1, np.zeros((1, 2, 2))), "expected shape (2, 2, 2), got (1, 2, 2)"),
+        (lambda: graphs.DirectedGraph(["u"], [("u", "v")]), "edge ('u', 'v') leaves the vertex set"),
+        (lambda: graphs.StochMatrix([[2, -1], [0, 1]]), "entries must be nonnegative"),
+    ],
+    ids=["CoinPair", "NumericState", "DirectedGraph", "StochMatrix"],
+)
+def test_a_record_refuses_an_input_that_breaks_its_invariant(build, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        build()
